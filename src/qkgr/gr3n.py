@@ -71,7 +71,8 @@ def qlr_gr3(lam, mu, nu, d: int, n: int) -> int:
     )
     if not constraints:
         return 0
-    assert w - nu[0] >= 0
+    if w < nu[0]:
+        raise ArithmeticError(f"nu={nu} leaves the 3x{w} rectangle")
     c1 = min(A, w - nu[0])
     c0 = min(A - 1, w - nu[0])
     if m == 0:

@@ -134,17 +134,46 @@ def seidel_up1(lam: Partition, ctx: GrContext) -> Partition:
     return lam[1:] + (0,)
 
 
+@cache
+def seidel_orbit(lam: Partition, ctx: GrContext) -> tuple[tuple[int, Partition], ...]:
+    """The Seidel orbit of lam with its q-powers: entry r is (d_r, lam up r).
+
+    r runs over 0..n-1, and d_r = (r*k + |lam| - |lam up r|) / n is the
+    power of q in T^r O^lam.  It is the only place a shift is iterated and
+    the only place a q-power is derived from partition sizes.
+    """
+    n = ctx.n
+    out = []
+    up = lam
+    for r in range(n):
+        d, rem = divmod(r * ctx.k + size(lam) - size(up), n)
+        if rem:
+            raise ArithmeticError(f"Seidel drop of {lam} at shift {r} not divisible by n={n}")
+        out.append((d, up))
+        up = seidel_up1(up, ctx)
+    return tuple(out)
+
+
+def seidel_power(lam: Partition, r: int, ctx: GrContext) -> tuple[int, Partition]:
+    """T^r on O^lam as (q-power, lam up r), for any integer r.
+
+    Whole turns fold through T^n = q^k Id, so negative r gives the inverse
+    shift (lam down -r) with a q-power that may be negative.
+    """
+    whole, r = divmod(r, ctx.n)
+    d, up = seidel_orbit(lam, ctx)[r]
+    return (d + whole * ctx.k, up)
+
+
 def seidel_up(lam: Partition, p: int, ctx: GrContext) -> Partition:
     """The p-th Seidel shift; p is reduced mod n (the shift has period n)."""
     if p < 0:
         raise ValueError("seidel_up expects a non-negative shift")
-    for _ in range(p % ctx.n):
-        lam = seidel_up1(lam, ctx)
-    return lam
+    return seidel_orbit(lam, ctx)[p % ctx.n][1]
 
 
 def seidel_down(lam: Partition, p: int, ctx: GrContext) -> Partition:
-    return seidel_up(lam, (ctx.n - p) % ctx.n, ctx)
+    return seidel_orbit(lam, ctx)[-p % ctx.n][1]
 
 
 def horizontal_strip(lam: Partition, nu: Partition) -> tuple[bool, int, int]:

@@ -30,11 +30,11 @@ from .partitions import (
     all_partitions,
     basis_key,
     rook_strips_over,
-    seidel_down,
+    seidel_power,
     validate,
 )
 from .pieri import apply_terms, quantum_terms
-from .seidel import apply_t_power, qh_seidel_power
+from .seidel import apply_t_power
 
 
 def _pieri_apply(ctx: GrContext, i: int, vec: dict) -> dict:
@@ -45,6 +45,10 @@ def _pieri_apply(ctx: GrContext, i: int, vec: dict) -> dict:
 
 def _zero(ctx: GrContext):
     return (0,) * ctx.k
+
+
+def _strip_third_row(lam):
+    return (lam[0] - lam[2], lam[1] - lam[2], 0)
 
 
 class LiftEngine:
@@ -83,11 +87,11 @@ class LiftEngine:
         zero = _zero(self.ctx)
         col_cache = self._mono_columns.setdefault(zero, {})
         val = self._mono_value(rho, zero, col_cache)
-        assert val.get((rho, 0)) == 1, f"monomial expansion not unital at {rho}"
+        if val.get((rho, 0)) != 1:
+            raise ArithmeticError(f"monomial expansion not unital at {rho}")
         rk = basis_key(rho)
-        assert all(
-            basis_key(nu) > rk for (nu, e) in val if e == 0 and nu != rho
-        ), f"monomial expansion not triangular at {rho}"
+        if any(basis_key(nu) <= rk for (nu, e) in val if e == 0 and nu != rho):
+            raise ArithmeticError(f"monomial expansion not triangular at {rho}")
         self._expansions[rho] = val
         return val
 
@@ -264,39 +268,27 @@ class Gr3Engine:
                         del out[kk]
         return out
 
-    def product_directed(self, lam, mu) -> QKElement:
-        """O^lam * O^mu with mu expanded through the recipe, uncached."""
+    def _product_shifted(self, lam, mu, reduced_product) -> QKElement:
+        """Strip both third rows, multiply, and shift back by T^(lam_3 + mu_3)."""
         ctx = self.ctx
         validate(lam, ctx)
         validate(mu, ctx)
+        elem = QKElement(reduced_product(_strip_third_row(lam), _strip_third_row(mu)))
         s = lam[2] + mu[2]
-        red = self._product_reduced_directed(
-            (lam[0] - lam[2], lam[1] - lam[2], 0),
-            (mu[0] - mu[2], mu[1] - mu[2], 0),
-        )
-        elem = QKElement(red)
         if s:
             elem = apply_t_power(elem, s, ctx)
         return elem
 
+    def product_directed(self, lam, mu) -> QKElement:
+        """O^lam * O^mu with mu expanded through the recipe, uncached."""
+        return self._product_shifted(lam, mu, self._product_reduced_directed)
+
     def product_basis(self, lam, mu) -> QKElement:
         key = (lam, mu) if lam >= mu else (mu, lam)
         got = self._elements.get(key)
-        if got is not None:
-            return got
-        ctx = self.ctx
-        validate(lam, ctx)
-        validate(mu, ctx)
-        s = lam[2] + mu[2]
-        red = self._product_reduced(
-            (lam[0] - lam[2], lam[1] - lam[2], 0),
-            (mu[0] - mu[2], mu[1] - mu[2], 0),
-        )
-        elem = QKElement(red)
-        if s:
-            elem = apply_t_power(elem, s, ctx)
-        self._elements[key] = elem
-        return elem
+        if got is None:
+            got = self._elements[key] = self._product_shifted(lam, mu, self._product_reduced)
+        return got
 
 
 @cache
@@ -352,12 +344,10 @@ def reduce_third_row(lam, mu, nu, d: int, ctx: GrContext):
     for p in (lam, mu, nu):
         validate(p, ctx)
     s = lam[2] + mu[2]
-    lam2 = (lam[0] - lam[2], lam[1] - lam[2], 0)
-    mu2 = (mu[0] - mu[2], mu[1] - mu[2], 0)
-    nu2 = seidel_down(nu, s % ctx.n, ctx)
-    dd, back = qh_seidel_power(nu2, s, ctx)
-    assert back == nu
-    return (lam2, mu2, nu2, d - dd)
+    dd, nu2 = seidel_power(nu, -s, ctx)
+    if seidel_power(nu2, s, ctx) != (-dd, nu):
+        raise ArithmeticError(f"T^{s} does not undo T^-{s} at {nu}")
+    return (_strip_third_row(lam), _strip_third_row(mu), nu2, d + dd)
 
 
 def ideal_sheaf(mu, ctx: GrContext) -> QKElement:

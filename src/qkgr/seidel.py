@@ -17,32 +17,29 @@ from .partitions import (
     GrContext,
     dual,
     seidel_down,
+    seidel_power,
     seidel_up,
-    seidel_up1,
-    size,
     validate,
 )
 
 
 def t_basis(lam, ctx: GrContext) -> tuple[int, tuple]:
     """T on a basis element: (q-power, partition)."""
-    if lam[0] == ctx.width:
-        return (1, lam[1:] + (0,))
-    return (0, tuple(p + 1 for p in lam))
+    return seidel_power(lam, 1, ctx)
 
 
 def h_basis(mu, ctx: GrContext) -> tuple[int, tuple]:
-    """H on a basis element: (q-power, partition)."""
-    if mu[ctx.k - 1] > 0:
-        return (1, tuple(p - 1 for p in mu))
-    return (0, (ctx.width,) + mu[: ctx.k - 1])
+    """H on a basis element: (q-power, partition), read as H = q T^-1."""
+    d, nu = seidel_power(mu, -1, ctx)
+    return (d + 1, nu)
 
 
-def _linear(op, elem: QKElement, ctx: GrContext) -> QKElement:
+def _shift_terms(elem: QKElement, r: int, dq: int, ctx: GrContext) -> QKElement:
+    """q^dq T^r applied linearly, raising on q-truncation overflow."""
     out = {}
     for (lam, d), c in elem.terms.items():
-        dd, nu = op(lam, ctx)
-        dnew = d + dd
+        dd, nu = seidel_power(lam, r, ctx)
+        dnew = d + dd + dq
         if dnew > ctx.trunc:
             raise OverflowError(
                 f"q-degree {dnew} exceeds truncation {ctx.trunc}; widen the context"
@@ -53,69 +50,43 @@ def _linear(op, elem: QKElement, ctx: GrContext) -> QKElement:
 
 
 def T(elem: QKElement, ctx: GrContext) -> QKElement:
-    return _linear(t_basis, elem, ctx)
+    return _shift_terms(elem, 1, 0, ctx)
 
 
 def H(elem: QKElement, ctx: GrContext) -> QKElement:
-    return _linear(h_basis, elem, ctx)
+    return _shift_terms(elem, -1, 1, ctx)
 
 
 def qh_seidel_power(lam, r: int, ctx: GrContext) -> tuple[int, tuple]:
     """T^r on a basis element: (q-power d_r, lam shifted up r times).
 
-    d_r = (r*k + |lam| - |lam up r|) / n, always a non-negative integer.
     Powers r > n are folded through T^n = q^k Id.
     """
     if r < 0:
         raise ValueError("negative Seidel power")
-    whole, r = divmod(r, ctx.n)
-    shifted = seidel_up(lam, r, ctx)
-    d = (r * ctx.k + size(lam) - size(shifted)) // ctx.n
-    return (d + whole * ctx.k, shifted)
+    return seidel_power(lam, r, ctx)
 
 
 def apply_t_power(elem: QKElement, r: int, ctx: GrContext) -> QKElement:
     """T^r applied linearly, raising on q-truncation overflow."""
-    out = {}
-    for (lam, d), c in elem.terms.items():
-        dd, nu = qh_seidel_power(lam, r, ctx)
-        dnew = d + dd
-        if dnew > ctx.trunc:
-            raise OverflowError(
-                f"q-degree {dnew} exceeds truncation {ctx.trunc}; widen the context"
-            )
-        key = (nu, dnew)
-        out[key] = out.get(key, 0) + c
-    return QKElement(out)
+    if r < 0:
+        raise ValueError("negative Seidel power")
+    return _shift_terms(elem, r, 0, ctx)
 
 
 def d_min(lam, mu, ctx: GrContext) -> tuple[int, int]:
     """Smallest q-power in O^lam * O^mu and the smallest shift achieving it.
 
-    d_min = max over 0 <= i <= n of (|lam|-|lam up i| + |mu|-|mu up (n-i)|)/n,
-    and for the maximizer r the whole product satisfies
+    d_min = max over 0 <= i < n of d_i(lam) + d_(n-i)(mu) - k, with d_r the
+    q-power of T^r, and for the maximizer r the whole product satisfies
     O^lam * O^mu = q^d_min * O^(lam up r) * O^(mu up (n-r)).
     """
     validate(lam, ctx)
     validate(mu, ctx)
-    n = ctx.n
-    best, best_r = None, 0
-    up_l, up_m = lam, mu
-    drops_l = [0]
-    drops_m = [0]
-    for _ in range(n):
-        up_l = seidel_up1(up_l, ctx)
-        up_m = seidel_up1(up_m, ctx)
-        drops_l.append(size(lam) - size(up_l))
-        drops_m.append(size(mu) - size(up_m))
-    for i in range(n + 1):
-        val = drops_l[i] + drops_m[n - i]
-        if val % n:
-            raise AssertionError("Seidel drop sum not divisible by n")
-        val //= n
-        if best is None or val > best:
-            best, best_r = val, i
-    return (best, best_r)
+    n, k = ctx.n, ctx.k
+    vals = [seidel_power(lam, i, ctx)[0] + seidel_power(mu, n - i, ctx)[0] - k for i in range(n)]
+    best = max(vals)
+    return (best, vals.index(best))
 
 
 def reduce_lemred(lam, mu, nu, d: int, variant: int, ctx: GrContext, i: int = 1):
@@ -123,27 +94,22 @@ def reduce_lemred(lam, mu, nu, d: int, variant: int, ctx: GrContext, i: int = 1)
 
     Variants: (1) up-shift with strict drop comparison, degree d-1;
     (2) the down-shift analogue; (3)/(4) equal-difference up/down shifts by
-    i, degree unchanged.
+    i, degree unchanged.  The drop |lam| - |lam up r| is n*d_r - r*k, so
+    comparing drops of lam and nu under one shift r compares their q-powers.
     """
-    if variant in (1, 2) and d < 1:
+    if variant not in (1, 2, 3, 4):
+        raise ValueError(f"unknown variant {variant}")
+    strict = variant <= 2
+    if strict and d < 1:
         return None
-    if variant == 1:
-        if size(lam) - size(seidel_up1(lam, ctx)) > size(nu) - size(seidel_up1(nu, ctx)):
-            return (seidel_up(lam, 1, ctx), mu, seidel_up(nu, 1, ctx), d - 1)
-        return None
-    if variant == 2:
-        if size(lam) - size(seidel_down(lam, 1, ctx)) > size(nu) - size(seidel_down(nu, 1, ctx)):
-            return (seidel_down(lam, 1, ctx), mu, seidel_down(nu, 1, ctx), d - 1)
-        return None
-    if variant == 3:
-        if size(lam) - size(seidel_up(lam, i, ctx)) == size(nu) - size(seidel_up(nu, i, ctx)):
-            return (seidel_up(lam, i, ctx), mu, seidel_up(nu, i, ctx), d)
-        return None
-    if variant == 4:
-        if size(lam) - size(seidel_down(lam, i, ctx)) == size(nu) - size(seidel_down(nu, i, ctx)):
-            return (seidel_down(lam, i, ctx), mu, seidel_down(nu, i, ctx), d)
-        return None
-    raise ValueError(f"unknown variant {variant}")
+    r = (1, -1, i, -i)[variant - 1]
+    dl, lam_r = seidel_power(lam, r, ctx)
+    dn, nu_r = seidel_power(nu, r, ctx)
+    if strict and dl > dn:
+        return (lam_r, mu, nu_r, d - 1)
+    if not strict and dl == dn:
+        return (lam_r, mu, nu_r, d)
+    return None
 
 
 def duality(lam, mu, nu, d: int, ctx: GrContext):
@@ -155,7 +121,7 @@ def lemcom_shift(lam, nu, m: int, ctx: GrContext):
     """Shift lam and nu up by n-k-lam_m+m and return both, in closed form.
 
     Requires nu_i >= lam_i for i < m and nu_m < lam_m.  The results are
-    asserted against the iterated Seidel shift.
+    checked against the orbit table.
     """
     k, w = ctx.k, ctx.width
     if not 1 <= m <= k:
@@ -174,19 +140,26 @@ def lemcom_shift(lam, nu, m: int, ctx: GrContext):
     )
     lam_up = seidel_up(lam, r, ctx)
     nu_up = seidel_up(nu, r, ctx)
-    assert lam_up == lam_closed and nu_up == nu_closed, "closed form mismatch"
+    if lam_up != lam_closed or nu_up != nu_closed:
+        raise ArithmeticError(f"closed form mismatch for lam={lam}, nu={nu}, m={m}")
     return (lam_up, nu_up)
 
 
-def reduce_deg_one(lam, mu, nu, d: int, ctx: GrContext):
-    """Degree-lowering rewrite at m = min{i : nu_i < lam_i}; None if none."""
+def _deg_one(lam, mu, nu, d: int, ctx: GrContext):
+    """(shift, rewritten tuple) of the degree-one rewrite; None if none."""
     if d < 1:
         return None
     m = next((i + 1 for i in range(ctx.k) if nu[i] < lam[i]), None)
     if m is None:
         return None
     r = ctx.width - lam[m - 1] + m
-    return (seidel_up(lam, r, ctx), mu, seidel_up(nu, r, ctx), d - 1)
+    return (r, (seidel_up(lam, r, ctx), mu, seidel_up(nu, r, ctx), d - 1))
+
+
+def reduce_deg_one(lam, mu, nu, d: int, ctx: GrContext):
+    """Degree-lowering rewrite at m = min{i : nu_i < lam_i}; None if none."""
+    got = _deg_one(lam, mu, nu, d, ctx)
+    return None if got is None else got[1]
 
 
 def reduce_higher(lam, mu, nu, d: int, s: int, ctx: GrContext):
@@ -237,18 +210,15 @@ def reduction_trace(lam, mu, nu, d: int, ctx: GrContext) -> list[dict]:
     steps = []
     while d > 0:
         options = []
-        got = reduce_deg_one(lam, mu, nu, d, ctx)
+        got = _deg_one(lam, mu, nu, d, ctx)
         if got is not None:
-            m = next(i + 1 for i in range(ctx.k) if nu[i] < lam[i])
-            options.append((ctx.width - lam[m - 1] + m, "deg-one", got))
-        got = reduce_deg_one(mu, lam, nu, d, ctx)
+            options.append((got[0], "deg-one", got[1]))
+        got = _deg_one(mu, lam, nu, d, ctx)
         if got is not None:
-            m = next(i + 1 for i in range(ctx.k) if nu[i] < mu[i])
-            swapped = (got[1], got[0], got[2], got[3])
-            options.append((ctx.width - mu[m - 1] + m, "deg-one-swapped", swapped))
+            r, (a, b, c, e) = got
+            options.append((r, "deg-one-swapped", (b, a, c, e)))
         if options:
-            options.sort(key=lambda t: t[0])
-            _, rule, tup = options[0]
+            _, rule, tup = min(options, key=lambda t: t[0])
         else:
             tup = reduce_dual_shift(lam, mu, nu, d, ctx)
             if tup is None:

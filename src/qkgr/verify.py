@@ -9,14 +9,17 @@ chunk order so output is identical for any job count.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
+import os
 import random
 from itertools import combinations_with_replacement
+from itertools import product as iterproduct
 
 from .curve_nbhd import curve_neighborhood, gamma_special, rim_peel
 from .element import QKElement
 from .gr3n import positivity_check, qlr_gr3
-from .partitions import all_partitions, context, dual, seidel_down, seidel_up
+from .partitions import all_partitions, context, dual, seidel_power, seidel_up
 from .pieri import classical_pieri, quantum_pieri, quantum_pieri_restated
 from .qk_engine import (
     product_basis,
@@ -29,7 +32,6 @@ from .seidel import (
     T,
     d_min,
     duality,
-    qh_seidel_power,
     reduce_deg_one,
     reduce_dual_shift,
     reduce_higher,
@@ -107,19 +109,13 @@ def _check_gr3n_rule(pair, state):
     s = lam[2] + mu[2]
     lam2 = (lam[0] - lam[2], lam[1] - lam[2], 0)
     mu2 = (mu[0] - mu[2], mu[1] - mu[2], 0)
-    shifts = state.setdefault(("shifts", s), {})
-    if not shifts:
-        for nu in parts:
-            nu2 = seidel_down(nu, s % ctx.n, ctx)
-            dd, _ = qh_seidel_power(nu2, s, ctx)
-            shifts[nu] = (nu2, dd)
     count = 0
     for nu in parts:
-        nu2, dshift = shifts[nu]
+        dd, nu2 = seidel_power(nu, -s, ctx)
         for d in range(ctx.trunc + 1):
             count += 1
             want = prod.coefficient(nu, d)
-            got = qlr_gr3(lam2, mu2, nu2, d - dshift, ctx.n)
+            got = qlr_gr3(lam2, mu2, nu2, d + dd, ctx.n)
             if got != want:
                 return (count, f"rule {got} != oracle {want} at {lam},{mu},{nu},q^{d}")
     return (count, None)
@@ -254,14 +250,7 @@ def _prepare(name, k, n, trunc, sample, seed):
     if name == "reductions":
         ctx = context(k, n, trunc)
         parts = all_partitions(ctx)
-        items = [
-            (lam, mu, nu, d)
-            for lam in parts
-            for mu in parts
-            for nu in parts
-            for d in range(ctx.trunc + 1)
-        ]
-        items = _sampled(items, sample, seed)
+        items = _cube((parts, parts, parts, range(ctx.trunc + 1)), sample, seed)
         return items, _check_reductions, {"ctx": ctx}
     if name == "positivity":
         ctx = context(k, n, trunc)
@@ -270,14 +259,7 @@ def _prepare(name, k, n, trunc, sample, seed):
     if name == "duality":
         ctx = context(k, n, trunc)
         parts = all_partitions(ctx)
-        items = [
-            (lam, mu, nu, d)
-            for lam in parts
-            for mu in parts
-            for nu in parts
-            for d in range(ctx.trunc + 1)
-        ]
-        items = _sampled(items, sample, seed)
+        items = _cube((parts, parts, parts, range(ctx.trunc + 1)), sample, seed)
         return items, _check_duality, {"ctx": ctx}
     if name == "curve-nbhd":
         ctx = context(k, n, trunc)
@@ -285,17 +267,41 @@ def _prepare(name, k, n, trunc, sample, seed):
     if name == "associativity":
         ctx = context(k, n, trunc)
         parts = all_partitions(ctx)
-        items = [(a, b, c) for a in parts for b in parts for c in parts]
-        items = _sampled(items, sample, seed)
+        items = _cube((parts, parts, parts), sample, seed)
         return items, _check_associativity, {"ctx": ctx}
     raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
 
 
-def _sampled(items, sample, seed):
-    if sample is None or sample >= len(items):
-        return items
-    rng = random.Random(seed)
-    return rng.sample(items, sample)
+def _cube(axes, sample, seed):
+    """The product of the axes in row-major order, or a seeded sample of it.
+
+    A sample is drawn by index and only the drawn indices are decoded, so
+    the cube is never built.  random.sample picks by position, so this is
+    the same sample as drawing from the full list with the same seed.
+    """
+    total = math.prod(len(axis) for axis in axes)
+    if sample is None or sample >= total:
+        return list(iterproduct(*axes))
+    items = []
+    for index in random.Random(seed).sample(range(total), sample):
+        item = []
+        for axis in reversed(axes):
+            index, j = divmod(index, len(axis))
+            item.append(axis[j])
+        items.append(tuple(reversed(item)))
+    return items
+
+
+def _chunks(total: int, jobs: int) -> list[tuple[int, int]]:
+    """Contiguous (lo, hi) bounds covering range(total), one per worker.
+
+    Workers are capped at the CPUs this process may run on.
+    """
+    jobs = min(jobs, len(os.sched_getaffinity(0)))
+    if jobs <= 1 or total <= 1:
+        return [(0, total)]
+    step = (total + jobs - 1) // jobs
+    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
 def _run_chunk(bounds):
@@ -331,11 +337,10 @@ def run_suite(
     seed: int = 0,
 ) -> dict:
     """Run one verification sweep and report counts plus the first failure."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     items, check, state = _prepare(name, k, n, trunc, sample, seed)
-    chunks = [(0, len(items))]
-    if jobs > 1 and len(items) > 1:
-        step = (len(items) + jobs - 1) // jobs
-        chunks = [(lo, min(lo + step, len(items))) for lo in range(0, len(items), step)]
+    chunks = _chunks(len(items), jobs)
     results = []
     _WORKER.update(items=items, check=check, state=state)
     try:

@@ -71,6 +71,12 @@ def test_verify_jobs_deterministic(capsys):
     assert out1 == out2
 
 
+def test_verify_jobs_below_one_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "verify", "seidel", "-k", "2", "-n", "4", "--jobs", "0")
+    assert code == 2
+    assert "jobs" in err
+
+
 def test_verify_csv(capsys):
     code, out, _ = run_cli(capsys, "verify", "dmin", "-k", "2", "-n", "4", "--csv")
     assert code == 0

@@ -16,7 +16,9 @@ from qkgr.partitions import (
     parse_partition,
     rook_strips_over,
     seidel_down,
+    seidel_power,
     seidel_up,
+    seidel_up1,
     shift_jump,
     size,
     to_jump_sequence,
@@ -125,6 +127,32 @@ def test_d_count_matches_seidel_drop(ctx):
         for r in range(ctx.n + 1):
             up = seidel_up(lam, r, ctx)
             assert r * ctx.k + size(lam) - size(up) == ctx.n * d_count(jumps, r, ctx)
+
+
+def _iterated_power(lam, r, ctx):
+    # T one step at a time: q^1 exactly when the first row is full, and
+    # T^-1 = q^-k T^(n-1)
+    d = 0
+    while r < 0:
+        r += ctx.n
+        d -= ctx.k
+    for _ in range(r):
+        d += lam[0] == ctx.width
+        lam = seidel_up1(lam, ctx)
+    return (d, lam)
+
+
+@pytest.mark.parametrize("ctx", contexts(9))
+def test_seidel_power_against_slow_paths(ctx):
+    n = ctx.n
+    for lam in all_partitions(ctx):
+        jumps = to_jump_sequence(lam, ctx)
+        for r in range(-n, 2 * n + 1):
+            d, up = seidel_power(lam, r, ctx)
+            assert (d, up) == _iterated_power(lam, r, ctx), (lam, r)
+            assert to_jump_sequence(up, ctx) == shift_jump(jumps, -r, ctx)
+            if 0 <= r <= n:
+                assert d == d_count(jumps, r, ctx)
 
 
 def test_seidel_shift_examples():

@@ -197,14 +197,17 @@ def test_classical_positivity():
 
 
 def test_truncation_stabilization():
-    for kk, nn in [(2, 5), (3, 6)]:
-        base = context(kk, nn)
-        wide = context(kk, nn, base.trunc + 2)
-        t1 = giambelli_lift_general(base)
-        t2 = giambelli_lift_general(wide)
-        for lam, mu, elem in t1.entries():
-            assert t2.product(lam, mu) == elem
-        assert t1.max_q_degree() <= base.trunc
+    # every ring with n <= 8: widening D = min(k, n-k)+1 by two changes no
+    # product, and the widened table needs exactly q^min(k, n-k)
+    for nn in range(2, 9):
+        for kk in range(1, nn):
+            base = context(kk, nn)
+            wide = context(kk, nn, base.trunc + 2)
+            t1 = giambelli_lift_general(base)
+            t2 = giambelli_lift_general(wide)
+            for lam, mu, elem in t1.entries():
+                assert t2.product(lam, mu) == elem, (kk, nn, lam, mu)
+            assert t2.max_q_degree() == min(kk, nn - kk), (kk, nn)
 
 
 def test_table_dump_deterministic():

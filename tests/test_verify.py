@@ -1,0 +1,65 @@
+import ast
+import os
+import random
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+import qkgr
+from qkgr.partitions import all_partitions, context
+from qkgr.verify import _chunks, _prepare
+
+
+def test_no_assert_statements_in_package():
+    # consistency checks must survive python -O, which strips asserts
+    for path in sorted(Path(qkgr.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"assert in {path.name} at lines {lines}"
+
+
+def test_chunks_capped_at_cpu_count():
+    cpus = len(os.sched_getaffinity(0))
+    chunks = _chunks(1596, 10_000)
+    assert 1 <= len(chunks) <= cpus
+    assert chunks[0][0] == 0 and chunks[-1][1] == 1596
+    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+    assert all(lo < hi for lo, hi in chunks)
+    assert _chunks(1596, 1) == [(0, 1596)]
+    assert _chunks(0, 4) == [(0, 0)]
+
+
+@pytest.mark.parametrize("suite", ["reductions", "duality", "associativity"])
+@pytest.mark.parametrize("seed", [0, 1, 17])
+def test_sample_matches_list_based_sample(suite, seed):
+    ctx = context(2, 5)
+    parts = all_partitions(ctx)
+    if suite == "associativity":
+        cube = [(a, b, c) for a in parts for b in parts for c in parts]
+    else:
+        cube = [
+            (a, b, c, d)
+            for a in parts
+            for b in parts
+            for c in parts
+            for d in range(ctx.trunc + 1)
+        ]
+    items, _, _ = _prepare(suite, 2, 5, None, 50, seed)
+    assert items == random.Random(seed).sample(cube, 50)
+    full, _, _ = _prepare(suite, 2, 5, None, None, seed)
+    assert full == cube
+
+
+def test_sample_does_not_build_the_cube():
+    # the Gr(5,10) reductions cube holds 96 M tuples
+    tracemalloc.start()
+    try:
+        items, _, _ = _prepare("reductions", 5, 10, None, 100, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(items) == 100
+    parts = set(all_partitions(context(5, 10)))
+    assert all(lam in parts and mu in parts and nu in parts for lam, mu, nu, _ in items)
+    assert peak < 5_000_000
