@@ -6,14 +6,19 @@ Two independent routes compute quantum products of Schubert classes:
   factor through the two-row Giambelli recipe into quantum Pieri operators,
   and shift the result back with powers of the Seidel operator T.
 
-* ``LiftEngine`` (any k): a q-adic lift of the classical Giambelli
-  expansion.  Monomials in the special classes, applied smallest part
-  first, expand at q = 0 as the target Schubert class plus strictly larger
-  terms in the (size, lex) basis order.  Evaluating every monomial against
-  a fixed right factor therefore pins down that column of the
-  multiplication table by back-substitution, one q-degree at a time; the
-  q >= 1 entries of the expansions feed lower degrees only, which is what
-  makes the lift converge.
+* ``LiftEngine`` (any k): a lift of the classical Giambelli expansion.
+  Monomials in the special classes, applied smallest part first, expand at
+  the unit as the target Schubert class plus strictly larger terms in the
+  (size, lex) basis order.  Evaluating every monomial against a fixed right
+  factor therefore pins down that column of the multiplication table by
+  one classical back-substitution.
+
+  The expansions at the unit are q-free.  A monomial applies at most k
+  special classes to O^(0), and each Pieri step adds a horizontal strip, so
+  it makes at most one more row nonzero.  The q-part of O^i * O^lam needs
+  lam to have all k rows nonzero already, so no step of such a monomial can
+  produce one.  ``LiftEngine.monomial_expansion`` checks this on every
+  expansion it builds rather than assuming it.
 
 Both engines agree entrywise wherever both apply (tested), and either one
 serves as the brute-force oracle for the closed-form rules.
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import json
 from functools import cache
+from math import comb
 
 from .element import QKElement
 from .partitions import (
@@ -52,109 +58,154 @@ def _strip_third_row(lam):
 
 
 class LiftEngine:
-    """Multiplication via the q-adic Giambelli lift; see module docstring."""
+    """Multiplication via the Giambelli lift; see module docstring.
+
+    Internally a partition is an integer id, handed out the first time the
+    engine meets the partition, so one product never enumerates the ring.
+    A q-graded vector is a dict keyed by ``d * C(n, k) + id``; a key below
+    the stride C(n, k) is a q^0 term.  Id 0 is the unit class O^(0).
+    """
 
     def __init__(self, ctx: GrContext):
         self.ctx = ctx
-        self._expansions = {}
-        self._closures = {}
-        self._mono_columns = {}
-        self._columns = {}
+        self._stride = comb(ctx.n, ctx.k)
+        self._ids = {}  # partition -> id
+        self._parts = []  # id -> partition
+        self._keys = []  # id -> basis_key
+        self._rows = {}  # Pieri index i -> {vector key: ((key, coeff), ...)}
+        self._expansions = {}  # id -> ((id, coeff), ...), diagonal left out
+        self._closures = {}  # id -> frozenset of ids
+        self._mono = {}  # column id -> {id: monomial value on that column}
+        self._columns = {}  # column id -> {id: solved product vector}
         self._elements = {}
+        self._intern(_zero(ctx))
 
-    def _mono_value(self, rho, mu, col_cache) -> dict:
-        """The monomial of special classes indexed by rho, applied to O^mu."""
-        got = col_cache.get(rho)
+    def _intern(self, lam) -> int:
+        got = self._ids.get(lam)
+        if got is None:
+            got = self._ids[lam] = len(self._parts)
+            self._parts.append(lam)
+            self._keys.append(basis_key(lam))
+        return got
+
+    def _row(self, i: int, key: int) -> tuple:
+        """The Pieri row of O^i on the vector key, shifted and truncated."""
+        stride = self._stride
+        d, lid = divmod(key, stride)
+        limit = (self.ctx.trunc + 1) * stride
+        row = []
+        for nu, dd, c in quantum_terms(self.ctx, self._parts[lid], i):
+            tgt = (d + dd) * stride + self._intern(nu)
+            if tgt < limit:
+                row.append((tgt, c))
+        return tuple(row)
+
+    def _apply_pieri(self, i: int, vec: dict) -> dict:
+        """O^i times a q-graded vector, truncated in q."""
+        rows = self._rows.setdefault(i, {})
+        out = {}
+        get = out.get
+        for key, c in vec.items():
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = self._row(i, key)
+            for tgt, c2 in row:
+                out[tgt] = get(tgt, 0) + c * c2
+        return {t: v for t, v in out.items() if v}
+
+    def _mono_value(self, rid: int, cache: dict) -> dict:
+        """The monomial of special classes indexed by rho, applied to the
+        column class; ``cache`` holds that column's values and is seeded
+        with the column class itself under id 0."""
+        got = cache.get(rid)
+        if got is None:
+            rho = self._parts[rid]
+            tail = self._mono_value(self._intern(rho[1:] + (0,)), cache)
+            got = cache[rid] = self._apply_pieri(rho[0], tail)
+        return got
+
+    def _column_cache(self, mid: int) -> dict:
+        cache = self._mono.get(mid)
+        if cache is None:
+            cache = self._mono[mid] = {0: {mid: 1}}
+        return cache
+
+    def _expansion(self, rid: int) -> tuple:
+        """The off-diagonal part of the rho-monomial at the unit, checked."""
+        got = self._expansions.get(rid)
         if got is not None:
             return got
-        if rho[0] == 0:
-            val = {(mu, 0): 1}
-        else:
-            tail = rho[1:] + (0,)
-            val = _pieri_apply(self.ctx, rho[0], self._mono_value(tail, mu, col_cache))
-        col_cache[rho] = val
-        return val
+        val = self._mono_value(rid, self._column_cache(0))
+        rho = self._parts[rid]
+        if val.get(rid) != 1:
+            raise ArithmeticError(f"monomial expansion not unital at {rho}")
+        keys, stride = self._keys, self._stride
+        if any(b >= stride for b in val):
+            raise ArithmeticError(f"monomial expansion carries a q-term at {rho}")
+        rk = keys[rid]
+        if any(keys[b] <= rk for b in val if b != rid):
+            raise ArithmeticError(f"monomial expansion not triangular at {rho}")
+        got = self._expansions[rid] = tuple((b, a) for b, a in val.items() if b != rid)
+        return got
 
     def monomial_expansion(self, rho) -> dict:
         """Expansion of the rho-monomial value at the unit class.
 
-        At q = 0 this is unitriangular: coefficient 1 on O^rho and support
-        only on strictly larger partitions in basis order.
+        It is unitriangular and q-free: coefficient 1 on O^rho, support
+        only on strictly larger partitions in basis order, every term at
+        q^0.  Raises ArithmeticError if any of that fails.
         """
-        got = self._expansions.get(rho)
-        if got is not None:
-            return got
-        zero = _zero(self.ctx)
-        col_cache = self._mono_columns.setdefault(zero, {})
-        val = self._mono_value(rho, zero, col_cache)
-        if val.get((rho, 0)) != 1:
-            raise ArithmeticError(f"monomial expansion not unital at {rho}")
-        rk = basis_key(rho)
-        if any(basis_key(nu) <= rk for (nu, e) in val if e == 0 and nu != rho):
-            raise ArithmeticError(f"monomial expansion not triangular at {rho}")
-        self._expansions[rho] = val
-        return val
-
-    def _closure(self, lam) -> frozenset:
-        got = self._closures.get(lam)
-        if got is not None:
-            return got
-        seen = {lam}
-        stack = [lam]
-        while stack:
-            rho = stack.pop()
-            for nu, _ in self.monomial_expansion(rho):
-                if nu not in seen:
-                    seen.add(nu)
-                    stack.append(nu)
-        out = frozenset(seen)
-        self._closures[lam] = out
+        rid = self._intern(rho)
+        out = {(self._parts[b], 0): a for b, a in self._expansion(rid)}
+        out[(rho, 0)] = 1
         return out
 
-    def _solve_column(self, mu, roots) -> dict:
-        """Ensure the products O^rho * O^mu are solved for every rho in roots."""
-        col = self._columns.setdefault(mu, {})
-        missing = [lam for lam in roots if lam not in col]
-        if not missing:
+    def _closure(self, rid: int) -> frozenset:
+        got = self._closures.get(rid)
+        if got is not None:
+            return got
+        seen = {rid}
+        stack = [rid]
+        while stack:
+            for b, _ in self._expansion(stack.pop()):
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        got = self._closures[rid] = frozenset(seen)
+        return got
+
+    def _solve_column(self, mid: int, rid: int) -> dict:
+        """Ensure O^rho * O^mu is solved inside the mu-column.
+
+        One pass over the closure of rho in descending basis order:
+        X[b] = W[b] - sum a_c X[c], where W[b] is the b-monomial applied to
+        O^mu and a_c its expansion coefficients, all on larger c.
+        """
+        col = self._columns.setdefault(mid, {})
+        if rid in col:
             return col
-        closure = set()
-        for lam in missing:
-            closure |= self._closure(lam)
-        closure -= col.keys()
-        trunc = self.ctx.trunc
-        mono_cache = self._mono_columns.setdefault(mu, {})
-        wslices = {}
-        for rho in closure:
-            sl = [dict() for _ in range(trunc + 1)]
-            for (nu, dd), c in self._mono_value(rho, mu, mono_cache).items():
-                sl[dd][nu] = c
-            wslices[rho] = sl
-        order = sorted(closure, key=basis_key, reverse=True)
-        built = {rho: [dict() for _ in range(trunc + 1)] for rho in closure}
-        for dcur in range(trunc + 1):
-            for rho in order:
-                out = dict(wslices[rho][dcur])
-                for (nu, e), a in self.monomial_expansion(rho).items():
-                    if e > dcur or (nu, e) == (rho, 0):
-                        continue
-                    src = built[nu] if nu in built else col[nu]
-                    for tgt, c in src[dcur - e].items():
-                        v = out.get(tgt, 0) - a * c
-                        if v:
-                            out[tgt] = v
-                        elif tgt in out:
-                            del out[tgt]
-                built[rho][dcur] = out
-        col.update(built)
+        todo = self._closure(rid).difference(col)
+        cache = self._column_cache(mid)
+        for b in sorted(todo, key=self._keys.__getitem__, reverse=True):
+            x = dict(self._mono_value(b, cache))
+            get = x.get
+            for c, a in self._expansion(b):
+                for tgt, v in col[c].items():
+                    x[tgt] = get(tgt, 0) - a * v
+            col[b] = {t: v for t, v in x.items() if v}
         return col
+
+    def _element(self, vec: dict) -> QKElement:
+        parts, stride = self._parts, self._stride
+        return QKElement({(parts[t % stride], t // stride): c for t, c in vec.items()})
 
     def product_via_column(self, row, col) -> QKElement:
         """O^row * O^col solved inside the col-column, bypassing the
         symmetric cache; lets tests check commutativity for real."""
-        slices = self._solve_column(col, [row])[row]
-        return QKElement(
-            {(nu, d): c for d, sl in enumerate(slices) for nu, c in sl.items()}
-        )
+        validate(row, self.ctx)
+        validate(col, self.ctx)
+        rid, mid = self._intern(row), self._intern(col)
+        return self._element(self._solve_column(mid, rid)[rid])
 
     def product_basis(self, lam, mu) -> QKElement:
         """O^lam * O^mu; lam is solved inside the mu-column."""
@@ -171,34 +222,26 @@ class LiftEngine:
         elif mu == zero:
             elem = QKElement.basis(lam)
         else:
-            done = self._columns.get(mu)
-            if done is None or lam not in done:
-                other = self._columns.get(lam)
-                if other is not None and mu in other:
-                    lam, mu = mu, lam
-                    done = other
+            lid, mid = self._intern(lam), self._intern(mu)
+            done = self._columns.get(mid)
+            if done is None or lid not in done:
+                other = self._columns.get(lid)
+                if other is not None and mid in other:
+                    lid, done = mid, other
                 else:
-                    done = self._solve_column(mu, [lam])
-            slices = done[lam]
-            elem = QKElement(
-                {(nu, d): c for d, sl in enumerate(slices) for nu, c in sl.items()}
-            )
+                    done = self._solve_column(mid, lid)
+            elem = self._element(done[lid])
         self._elements[key] = elem
         return elem
 
     def check_unit_column(self) -> None:
-        """Verify M_lam applied to the unit returns O^lam exactly.
-
-        A failure would mean the truncation is too small for this ring;
-        rebuild with a larger one.
-        """
+        """Verify that the kernel, solving the unit column, returns O^lam
+        for every lam: the back-substitution must undo the expansions."""
         zero = _zero(self.ctx)
         for lam in all_partitions(self.ctx):
-            got = self.product_basis(lam, zero)
+            got = self.product_via_column(lam, zero)
             if got != QKElement.basis(lam):
-                raise ArithmeticError(
-                    f"lift did not converge at {lam}; increase trunc={self.ctx.trunc}"
-                )
+                raise ArithmeticError(f"lift does not return O^{lam} on the unit column: {got}")
 
 
 def giambelli_gr3(mu, ctx: GrContext) -> list[tuple[int, tuple]]:

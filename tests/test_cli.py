@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +169,21 @@ def test_console_script():
     )
     assert proc.returncode == 0
     assert "O(" in proc.stdout
+
+
+def test_product_needs_no_array_libraries():
+    # the package declares no runtime dependencies; a cold product must not
+    # pull in numpy or scipy, whose import alone costs more than the product
+    script = (
+        "import sys\n"
+        "from qkgr.cli import main\n"
+        "code = main(['product', '-k', '4', '-n', '8', '--lhs', '3,2,1', '--rhs', '2,2,1', '--json'])\n"
+        "print(code, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert json.loads(lines[0])["terms"]
+    assert lines[-1] == "0 []"

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,6 +10,7 @@ from qkgr.element import QKElement
 from qkgr.partitions import all_partitions, context, dual, size
 from qkgr.pieri import quantum_pieri
 from qkgr.qk_engine import (
+    LiftEngine,
     euler_char,
     giambelli_gr3,
     giambelli_lift_general,
@@ -237,3 +240,97 @@ def test_element_json_roundtrip():
     assert QKElement.from_json(elem.to_json()) == elem
     obj = elem.to_obj()
     assert obj["terms"] == sorted(obj["terms"], key=lambda t: (t["q"], sum(t["partition"])))
+
+
+# sha256 of giambelli_lift_general(context(k, n)).dump_jsonl for every ring
+# with n <= 9.  The digests were recorded from an earlier, independently
+# written lift kernel, so they check the current kernel against outputs it
+# did not produce; engines_agree covers k = 3 only.
+LIFT_TABLE_SHA256 = {
+    (1, 2): "6e5963a5b4ab3bbb9a7db31df9006a83861e5f75309bc0d781cec78424e141f6",
+    (1, 3): "5d44777df2c3094fa97bbd965c68ca316464365aba1fbe1e0763f0f0bbbb1128",
+    (2, 3): "01235f65bdbefeaef0ae8ae386ef3815f9b25ca33e4c865d5099213f7cc6d57e",
+    (1, 4): "b111fabf86584df15957bdf9b12c416cc6544fa27348b684d68945da4318e6b1",
+    (2, 4): "876b3ad222d9c4d44b0f8ab2f52c0b67d1fc0148b81faf3f89bc8a513c978ad1",
+    (3, 4): "7ce0046d020b0824e9991b9065d520fbd00f388bb403a381a9ac60c85ba623f8",
+    (1, 5): "bb2f6c3092d40af89717b672ce32c1814d7671950adceee19eca8f248621782a",
+    (2, 5): "bd7d65fd43e2be64f97814919a4bc1fa3704024db88670f52c0e1a6462b960cf",
+    (3, 5): "d5f5efaffa25f8f8871cc08af5fb3228cf77fc2f7583c575b0614579d28cc4bc",
+    (4, 5): "f0535575ae981908ce266321bfb6352379b9881d5a45348b0692f8b3a78c0bc3",
+    (1, 6): "4d706fbed2a0e7e6cf4f26ae62e8ded242358a019137d116e04be9300de7d08d",
+    (2, 6): "23ce30287a0d2086e65c4ab596bcbdd00c5a7ab264727c8849b7fda86f33e84c",
+    (3, 6): "b8e831f15b4ecead1da41e4c1ea6067b25ccf5e94a434a925a92ff2f2ae3ca83",
+    (4, 6): "6b8e9404e271fae47ee914c3fef28f44e451cbd8544cc15c4937696a78c390d2",
+    (5, 6): "eaa3b2ba608d4bd6929c67ff4cdd6e81bcf5546ee4b19f7abdd0322f8ede7bad",
+    (1, 7): "72bb12b966899a6ad67170fa23b52634f8b7ed1956c15ea91e2708294f3cacbf",
+    (2, 7): "3f5d557bdc824a9b86fe7ebb77bfa99cfaeb6caf027c6f1295af7112b6e8a32e",
+    (3, 7): "3741759a632e6ab4a71d04aa5f468061c30d84f6485c9da94254f0bef410fed0",
+    (4, 7): "536f4da83af13f4592b96a15aed9df466478857c31537cd46514ed8f851f78aa",
+    (5, 7): "ebdcba8b1153a6012563f4a919460c4c8d44fa5f9d1c36ec61459bd692fb71b6",
+    (6, 7): "4eea891e0fdd36bbdde02a752a3fc992859b7de71b016661cec6beb5363ba188",
+    (1, 8): "d1cf7463ada83bf2874fe691c5f54b64b6618bae2b15ab93b23f3bb4d2add306",
+    (2, 8): "9fe8a052eebf01b3986966f5c8cd887bbd32c374dfe0a80794b74da937007af1",
+    (3, 8): "15e6570b009202c05ce98a496dbd8b83ad578980d164ad9d65375e5cc8d3ffee",
+    (4, 8): "c603f0a76d6b95678b7a96d07aedb90db0e75c4da889e7b4efc2ac1f0551e355",
+    (5, 8): "2d98d09c770a58fb29878cdc471902f294b4224b4cdd29ea6f5ce677669eff68",
+    (6, 8): "d358038e9d8afc2856af0a8a4c4f400b4496fed81803b9c3437d361d3126f947",
+    (7, 8): "670cefc1af942bdb95dd274914094d0758361da82f853081a64123bdbb54cfdb",
+    (1, 9): "d54c74c1eadb9092b9a499c614f02c9370dd766695891dc68bb3bb821d516ae2",
+    (2, 9): "95a41a1de3d7f1164b3a2be35a329efd1e6c43a8ab644e8164dabe1ae8cf8f40",
+    (3, 9): "0cff959000eed6a8d8053053e4414effc7e621ba8961f37a16fc39a3d5e3aedb",
+    (4, 9): "2be2ccad0d6153d766afceba29ffab23a02ea5167d045a5e8fd97d491406df4f",
+    (5, 9): "3449f862c622cf3c437d45e8eeabd09003aa05668437bbe7d5c5828ec916db68",
+    (6, 9): "a8a00851b001889a01fd41b9ce810fe991454568e172d3d66258725f048b5af9",
+    (7, 9): "3e1e6c9082b01a3d842a82e626422f56dfbd8f1fd7ef2a6feca10145c55a0460",
+    (8, 9): "e1c53cffdeb891d5b670b7c27f978e994dc2652cc6d133f18e88d66571ffc064",
+}
+
+
+def test_lift_tables_match_pinned_digests():
+    assert len(LIFT_TABLE_SHA256) == 36
+    for (kk, nn), want in LIFT_TABLE_SHA256.items():
+        buf = io.StringIO()
+        giambelli_lift_general(context(kk, nn)).dump_jsonl(buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want, (kk, nn)
+
+
+def test_check_unit_column_catches_a_bad_expansion():
+    ctx = context(3, 6)
+    LiftEngine(ctx).check_unit_column()
+    eng = LiftEngine(ctx)
+    rho = (1, 1, 0)
+    assert len(eng.monomial_expansion(rho)) > 1
+    rid = eng._ids[rho]
+    (b, a), *rest = eng._expansions[rid]
+    eng._expansions[rid] = ((b, a + 1), *rest)
+    with pytest.raises(ArithmeticError):
+        eng.check_unit_column()
+
+
+def test_monomial_expansions_are_unitriangular_and_q_free():
+    for kk, nn in [(2, 5), (3, 7), (4, 8)]:
+        ctx = context(kk, nn)
+        eng = LiftEngine(ctx)
+        for rho in all_partitions(ctx):
+            exp = eng.monomial_expansion(rho)
+            assert exp[(rho, 0)] == 1
+            for nu, d in exp:
+                assert d == 0
+                assert nu == rho or (size(nu), nu) > (size(rho), rho)
+
+
+def test_one_product_does_not_enumerate_the_ring():
+    # C(30, 15) is about 1.5e8 classes; one product of two small shapes
+    # must touch only the few classes its closure reaches
+    k = 15
+    ctx = context(k, 30)
+    pad = (0,) * (k - 3)
+    tracemalloc.start()
+    try:
+        got = lift_engine(ctx).product_basis((2, 1, 0) + pad, (1, 0, 0) + pad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    want = {(2, 1, 1): 1, (2, 2, 0): 1, (3, 1, 0): 1, (2, 2, 1): -1, (3, 1, 1): -1, (3, 2, 0): -1, (3, 2, 1): 1}
+    assert got == QKElement({(lam + pad, 0): c for lam, c in want.items()})
