@@ -18,12 +18,7 @@ class QKElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for key, c in (terms.items() if hasattr(terms, "items") else terms):
-                if c:
-                    self.terms[key] = self.terms.get(key, 0) + c
-            self.terms = {k: c for k, c in self.terms.items() if c}
+        self.terms = {key: c for key, c in terms.items() if c} if terms else {}
 
     @classmethod
     def basis(cls, lam, d: int = 0, coeff: int = 1) -> "QKElement":

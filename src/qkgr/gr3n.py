@@ -19,10 +19,6 @@ from .partitions import context, size, validate
 from .qk_engine import structure_constant
 
 
-def _classical(lam, mu, nu, n: int) -> int:
-    return structure_constant(lam, mu, nu, 0, context(3, n))
-
-
 def qlr_gr3(lam, mu, nu, d: int, n: int) -> int:
     """N_{lam,mu}^{nu,d} in QK(Gr(3, n)) for lam, mu with empty third rows."""
     ctx = context(3, n)
@@ -34,7 +30,7 @@ def qlr_gr3(lam, mu, nu, d: int, n: int) -> int:
     if d < 0:
         return 0
     if d == 0:
-        return _classical(lam, mu, nu, n)
+        return structure_constant(lam, mu, nu, 0, ctx)
     if d >= 2:
         return 0
 
@@ -43,21 +39,23 @@ def qlr_gr3(lam, mu, nu, d: int, n: int) -> int:
         if nu[0] >= lam[0]:
             lam, mu = mu, lam
         a = lam[0]
-        return _classical(
+        return structure_constant(
             (lam[1] + w - a, w - a, 0),
             mu,
             (nu[0] + w + 1 - a, nu[1] + w + 1 - a, nu[2] + w + 1 - a),
-            n,
+            0,
+            ctx,
         )
     if nu[1] < max(lam[1], mu[1]):
         if nu[1] >= lam[1]:
             lam, mu = mu, lam
         b = lam[1]
-        return _classical(
+        return structure_constant(
             (w - b, lam[0] - b, 0),
             mu,
             (nu[1] + w + 1 - b, nu[2] + w + 1 - b, nu[0] - b + 1),
-            n,
+            0,
+            ctx,
         )
 
     m = size(nu) + n - size(lam) - size(mu)

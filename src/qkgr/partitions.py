@@ -43,14 +43,14 @@ class GrContext:
         return self.n - self.k
 
 
-def default_trunc(k: int, n: int) -> int:
-    return min(k, n - k) + 1
-
-
+@cache
 def context(k: int, n: int, trunc: int | None = None) -> GrContext:
-    """Build a GrContext with the default truncation unless overridden."""
+    """The one GrContext for (k, n, trunc); trunc defaults to min(k, n-k)+1.
+
+    Bad input raises on every call, since exceptions are not cached.
+    """
     if trunc is None:
-        trunc = default_trunc(k, n)
+        trunc = min(k, n - k) + 1
     return GrContext(k, n, trunc)
 
 
@@ -198,17 +198,6 @@ def horizontal_strips_over(lam: Partition, ctx: GrContext):
     ranges += [range(lam[j], lam[j - 1] + 1) for j in range(1, k)]
     for nu in iterproduct(*ranges):
         yield nu
-
-
-def outer_rim(lam: Partition) -> list[tuple[int, int]]:
-    """Boxes (i, j), 1-based, of lam with no box at (i+1, j+1)."""
-    k = len(lam)
-    boxes = []
-    for i in range(1, k + 1):
-        below = lam[i] if i < k else 0
-        for j in range(max(below, 1), lam[i - 1] + 1):
-            boxes.append((i, j))
-    return boxes
 
 
 def outer_rim_removals(lam: Partition, ctx: GrContext) -> list[tuple[Partition, int]]:

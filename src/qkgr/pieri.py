@@ -103,8 +103,9 @@ def apply_terms(vec: dict, terms_for, trunc: int) -> dict:
     """Apply a basiswise operator to a raw term dict, truncating in q.
 
     ``terms_for(lam)`` yields (nu, dd, coeff) triples; ``vec`` maps
-    (partition, d) to integers.  ``PieriOperator`` and ``Gr3Engine`` use
-    it; ``LiftEngine`` applies Pieri rows of its own, on integer ids.
+    (partition, d) to integers.  ``PieriOperator.apply_raw`` calls it, for
+    itself and for ``Gr3Engine``; ``LiftEngine`` applies Pieri rows of its
+    own, on integer ids.
     """
     out = {}
     for (lam, d), c in vec.items():

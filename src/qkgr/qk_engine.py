@@ -39,14 +39,8 @@ from .partitions import (
     seidel_power,
     validate,
 )
-from .pieri import apply_terms, quantum_terms
+from .pieri import pieri_operator, quantum_terms
 from .seidel import apply_t_power
-
-
-def _pieri_apply(ctx: GrContext, i: int, vec: dict) -> dict:
-    if i == 0:
-        return vec
-    return apply_terms(vec, lambda lam: quantum_terms(ctx, lam, i), ctx.trunc)
 
 
 def _zero(ctx: GrContext):
@@ -294,15 +288,15 @@ class Gr3Engine:
         if rec_factor[0] == 0:
             out = vec
         elif rec_factor[1] == 0:
-            out = _pieri_apply(ctx, rec_factor[0], vec)
+            out = pieri_operator(rec_factor[0], ctx).apply_raw(vec)
         else:
             out = {}
             first_applied = {}
             for sign, (a, b) in giambelli_gr3(rec_factor, ctx):
                 va = first_applied.get(a)
                 if va is None:
-                    va = first_applied[a] = _pieri_apply(ctx, a, vec)
-                term = _pieri_apply(ctx, b, va)
+                    va = first_applied[a] = pieri_operator(a, ctx).apply_raw(vec)
+                term = pieri_operator(b, ctx).apply_raw(va) if b else va
                 for kk, c in term.items():
                     v = out.get(kk, 0) + sign * c
                     if v:
@@ -445,8 +439,8 @@ class MultiplicationTable:
 
     def entries(self):
         """All (lam, mu, QKElement) with lam <= mu in basis order."""
-        for key in sorted(self._products, key=lambda p: basis_key(p[0]) + basis_key(p[1])):
-            yield key[0], key[1], self._products[key]
+        for (lam, mu), elem in self._products.items():
+            yield lam, mu, elem
 
     def operator(self, lam) -> dict:
         """The column map of quantum multiplication by O^lam."""

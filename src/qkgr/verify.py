@@ -39,19 +39,6 @@ from .seidel import (
     t_basis,
 )
 
-SUITE_NAMES = (
-    "seidel",
-    "pieri-equiv",
-    "gr3n-rule",
-    "dmin",
-    "reductions",
-    "positivity",
-    "duality",
-    "curve-nbhd",
-    "associativity",
-)
-
-
 def _constant(tup, ctx):
     lam, mu, nu, d = tup
     if d < 0 or d > ctx.trunc:
@@ -59,13 +46,12 @@ def _constant(tup, ctx):
     return structure_constant(lam, mu, nu, d, ctx)
 
 
-# The checkers live at module level and read their shared state from
-# _WORKER so that a fork-based pool can reach them without pickling.
+# _run_chunk reads the items, the checker and the context from _WORKER so
+# that a fork-based pool can reach them without pickling.
 _WORKER: dict = {}
 
 
-def _check_seidel(lam, state):
-    ctx = state["ctx"]
+def _check_seidel(lam, ctx):
     k, n = ctx.k, ctx.n
     e = QKElement.basis(lam)
     x = e
@@ -86,9 +72,8 @@ def _check_seidel(lam, state):
     return (4, None)
 
 
-def _check_pieri_equiv(item, state):
+def _check_pieri_equiv(item, ctx):
     lam, i = item
-    ctx = state["ctx"]
     a = quantum_pieri(lam, i, ctx)
     b = quantum_pieri_restated(lam, i, ctx)
     if a != b:
@@ -101,16 +86,14 @@ def _check_pieri_equiv(item, state):
     return (3, None)
 
 
-def _check_gr3n_rule(pair, state):
+def _check_gr3n_rule(pair, ctx):
     lam, mu = pair
-    ctx = state["ctx"]
-    parts = state["parts"]
     prod = product_basis(lam, mu, ctx)
     s = lam[2] + mu[2]
     lam2 = (lam[0] - lam[2], lam[1] - lam[2], 0)
     mu2 = (mu[0] - mu[2], mu[1] - mu[2], 0)
     count = 0
-    for nu in parts:
+    for nu in all_partitions(ctx):
         dd, nu2 = seidel_power(nu, -s, ctx)
         for d in range(ctx.trunc + 1):
             count += 1
@@ -121,9 +104,8 @@ def _check_gr3n_rule(pair, state):
     return (count, None)
 
 
-def _check_dmin(pair, state):
+def _check_dmin(pair, ctx):
     lam, mu = pair
-    ctx = state["ctx"]
     d, r = d_min(lam, mu, ctx)
     prod = product_basis(lam, mu, ctx)
     if prod.min_q() != d:
@@ -136,9 +118,8 @@ def _check_dmin(pair, state):
     return (2, None)
 
 
-def _check_reductions(item, state):
+def _check_reductions(item, ctx):
     lam, mu, nu, d = item
-    ctx = state["ctx"]
     orig = structure_constant(lam, mu, nu, d, ctx)
     count = 0
 
@@ -176,9 +157,8 @@ def _check_reductions(item, state):
     return (count, None)
 
 
-def _check_positivity(pair, state):
+def _check_positivity(pair, ctx):
     lam, mu = pair
-    ctx = state["ctx"]
     count = 0
     for (nu, d), c in product_basis(lam, mu, ctx).terms.items():
         if ctx.k != 3 and d > 0:
@@ -189,9 +169,8 @@ def _check_positivity(pair, state):
     return (count, None)
 
 
-def _check_duality(item, state):
+def _check_duality(item, ctx):
     lam, mu, nu, d = item
-    ctx = state["ctx"]
     orig = structure_constant(lam, mu, nu, d, ctx)
     got = structure_constant(lam, dual(nu, ctx), dual(mu, ctx), d, ctx)
     if got != orig:
@@ -199,8 +178,7 @@ def _check_duality(item, state):
     return (1, None)
 
 
-def _check_curve_nbhd(lam, state):
-    ctx = state["ctx"]
+def _check_curve_nbhd(lam, ctx):
     count = 0
     peeled = lam
     for d in range(ctx.k + 1):
@@ -220,56 +198,60 @@ def _check_curve_nbhd(lam, state):
     return (count, None)
 
 
-def _check_associativity(triple, state):
+def _check_associativity(triple, ctx):
     lam, mu, nu = triple
-    ctx = state["ctx"]
     if not verify_recursion(lam, mu, nu, ctx.trunc, ctx):
         return (1, f"associativity fails at {lam},{mu},{nu}")
     return (1, None)
 
 
+def _classes(ctx, sample, seed):
+    return list(all_partitions(ctx))
+
+
+def _pieri_items(ctx, sample, seed):
+    return [(lam, i) for lam in all_partitions(ctx) for i in range(1, ctx.width + 1)]
+
+
+def _pairs(ctx, sample, seed):
+    return list(combinations_with_replacement(all_partitions(ctx), 2))
+
+
+def _constants(ctx, sample, seed):
+    parts = all_partitions(ctx)
+    return _cube((parts, parts, parts, range(ctx.trunc + 1)), sample, seed)
+
+
+def _triples(ctx, sample, seed):
+    parts = all_partitions(ctx)
+    return _cube((parts, parts, parts), sample, seed)
+
+
+# name -> (items(ctx, sample, seed), check(item, ctx)); the order is the CLI's.
+SUITES = {
+    "seidel": (_classes, _check_seidel),
+    "pieri-equiv": (_pieri_items, _check_pieri_equiv),
+    "gr3n-rule": (_pairs, _check_gr3n_rule),
+    "dmin": (_pairs, _check_dmin),
+    "reductions": (_constants, _check_reductions),
+    "positivity": (_pairs, _check_positivity),
+    "duality": (_constants, _check_duality),
+    "curve-nbhd": (_classes, _check_curve_nbhd),
+    "associativity": (_triples, _check_associativity),
+}
+SUITE_NAMES = tuple(SUITES)
+
+
 def _prepare(name, k, n, trunc, sample, seed):
-    if name == "seidel":
-        ctx = context(k, n, trunc if trunc else max(k, n - k) + 1)
-        return list(all_partitions(ctx)), _check_seidel, {"ctx": ctx}
-    if name == "pieri-equiv":
-        ctx = context(k, n, trunc)
-        items = [(lam, i) for lam in all_partitions(ctx) for i in range(1, ctx.width + 1)]
-        return items, _check_pieri_equiv, {"ctx": ctx}
-    if name == "gr3n-rule":
-        if k != 3:
-            raise ValueError("the gr3n-rule suite needs k = 3")
-        ctx = context(3, n, trunc)
-        parts = all_partitions(ctx)
-        items = list(combinations_with_replacement(parts, 2))
-        return items, _check_gr3n_rule, {"ctx": ctx, "parts": parts}
-    if name == "dmin":
-        ctx = context(k, n, trunc)
-        parts = all_partitions(ctx)
-        return list(combinations_with_replacement(parts, 2)), _check_dmin, {"ctx": ctx}
-    if name == "reductions":
-        ctx = context(k, n, trunc)
-        parts = all_partitions(ctx)
-        items = _cube((parts, parts, parts, range(ctx.trunc + 1)), sample, seed)
-        return items, _check_reductions, {"ctx": ctx}
-    if name == "positivity":
-        ctx = context(k, n, trunc)
-        parts = all_partitions(ctx)
-        return list(combinations_with_replacement(parts, 2)), _check_positivity, {"ctx": ctx}
-    if name == "duality":
-        ctx = context(k, n, trunc)
-        parts = all_partitions(ctx)
-        items = _cube((parts, parts, parts, range(ctx.trunc + 1)), sample, seed)
-        return items, _check_duality, {"ctx": ctx}
-    if name == "curve-nbhd":
-        ctx = context(k, n, trunc)
-        return list(all_partitions(ctx)), _check_curve_nbhd, {"ctx": ctx}
-    if name == "associativity":
-        ctx = context(k, n, trunc)
-        parts = all_partitions(ctx)
-        items = _cube((parts, parts, parts), sample, seed)
-        return items, _check_associativity, {"ctx": ctx}
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    if name == "seidel" and not trunc:
+        trunc = max(k, n - k) + 1
+    if name == "gr3n-rule" and k != 3:
+        raise ValueError("the gr3n-rule suite needs k = 3")
+    ctx = context(k, n, trunc)
+    items, check = SUITES[name]
+    return items(ctx, sample, seed), check, ctx
 
 
 def _cube(axes, sample, seed):
@@ -308,23 +290,17 @@ def _run_chunk(bounds):
     lo, hi = bounds
     items = _WORKER["items"]
     check = _WORKER["check"]
-    state = _WORKER["state"]
+    ctx = _WORKER["ctx"]
     count = failures = 0
     first = None
     for item in items[lo:hi]:
-        c, fail = check(item, state)
+        c, fail = check(item, ctx)
         count += c
         if fail is not None:
             failures += 1
             if first is None:
                 first = fail
     return (count, failures, first)
-
-
-def _warm_caches(items, check, state):
-    # touch one item so engine tables are built before forking
-    if items:
-        check(items[0], state)
 
 
 def run_suite(
@@ -339,15 +315,15 @@ def run_suite(
     """Run one verification sweep and report counts plus the first failure."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    items, check, state = _prepare(name, k, n, trunc, sample, seed)
+    items, check, ctx = _prepare(name, k, n, trunc, sample, seed)
     chunks = _chunks(len(items), jobs)
     results = []
-    _WORKER.update(items=items, check=check, state=state)
+    _WORKER.update(items=items, check=check, ctx=ctx)
     try:
         if len(chunks) > 1:
-            _warm_caches(items, check, state)
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(len(chunks)) as pool:
+            # check one item so the engine tables are built before forking
+            check(items[0], ctx)
+            with multiprocessing.get_context("fork").Pool(len(chunks)) as pool:
                 results = pool.map(_run_chunk, chunks)
         else:
             results = [_run_chunk(chunks[0])]

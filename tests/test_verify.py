@@ -8,7 +8,7 @@ import pytest
 
 import qkgr
 from qkgr.partitions import all_partitions, context
-from qkgr.verify import _chunks, _prepare
+from qkgr.verify import SUITE_NAMES, _chunks, _prepare, run_suite
 
 
 def test_no_assert_statements_in_package():
@@ -63,3 +63,41 @@ def test_sample_does_not_build_the_cube():
     parts = set(all_partitions(context(5, 10)))
     assert all(lam in parts and mu in parts and nu in parts for lam, mu, nu, _ in items)
     assert peak < 5_000_000
+
+
+# (items, checks) per suite on Gr(2,5), gr3n-rule on Gr(3,6), recorded
+# before the sweep driver became a suite table.
+PINNED_COUNTS = {
+    "seidel": (10, 40),
+    "pieri-equiv": (30, 90),
+    "gr3n-rule": (210, 21000),
+    "dmin": (55, 110),
+    "reductions": (4000, 12331),
+    "positivity": (55, 36),
+    "duality": (4000, 4000),
+    "curve-nbhd": (10, 42),
+    "associativity": (1000, 1000),
+}
+
+
+def _counts(report):
+    assert report["ok"], report
+    return (report["items"], report["checks"])
+
+
+def test_suite_counts_are_pinned():
+    assert tuple(PINNED_COUNTS) == SUITE_NAMES
+    for suite, want in PINNED_COUNTS.items():
+        k, n = (3, 6) if suite == "gr3n-rule" else (2, 5)
+        assert _counts(run_suite(suite, k, n)) == want, suite
+    sampled = {"reductions": (50, 158), "duality": (50, 50), "associativity": (50, 50)}
+    for suite, want in sampled.items():
+        assert _counts(run_suite(suite, 2, 5, sample=50, seed=3)) == want, suite
+    assert _counts(run_suite("reductions", 2, 5, jobs=2)) == (4000, 12331)
+
+
+def test_context_is_one_object_per_ring():
+    assert context(3, 8) is context(3, 8)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            context(3, 3)
