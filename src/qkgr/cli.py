@@ -29,28 +29,31 @@ def _trunc_from(args) -> int | None:
     return int(env) if env else None
 
 
-def _parse_partition_arg(text: str, ctx):
-    text = text.strip()
-    if text.startswith("["):
-        from .partitions import normalize
-
-        return normalize(json.loads(text), ctx)
-    return parse_partition(text, ctx)
+def _emit(args, obj, header: str, rows, lines) -> None:
+    """Print one result as JSON (obj), CSV (header and rows) or text (lines)."""
+    if args.json:
+        print(json.dumps(obj, separators=(",", ":")))
+    elif args.csv:
+        print(header)
+        for row in rows:
+            print(",".join(map(str, row)))
+    else:
+        for line in lines:
+            print(line)
 
 
 def cmd_product(args) -> int:
     ctx = context(args.k, args.n, _trunc_from(args))
-    lhs = _parse_partition_arg(args.lhs, ctx)
-    rhs = _parse_partition_arg(args.rhs, ctx)
+    lhs = parse_partition(args.lhs, ctx)
+    rhs = parse_partition(args.rhs, ctx)
     result = product_basis(lhs, rhs, ctx)
-    if args.json:
-        print(result.to_json())
-    elif args.csv:
-        print("q,partition,coeff")
-        for lam, d, c in result.sorted_terms():
-            print(f"{d},{format_partition(lam)},{c}")
-    else:
-        print(f"O({format_partition(lhs)}) * O({format_partition(rhs)}) = {result}")
+    _emit(
+        args,
+        result.to_obj(),
+        "q,partition,coeff",
+        ((d, format_partition(lam), c) for lam, d, c in result.sorted_terms()),
+        [f"O({format_partition(lhs)}) * O({format_partition(rhs)}) = {result}"],
+    )
     return 0
 
 
@@ -64,38 +67,23 @@ def cmd_verify(args) -> int:
         sample=args.sample,
         seed=args.seed,
     )
-    if args.json:
-        print(json.dumps(report, separators=(",", ":")))
-    elif args.csv:
-        print("suite,k,n,items,checks,failures,ok")
-        print(
-            "%s,%d,%d,%d,%d,%d,%s"
-            % (
-                report["suite"],
-                report["k"],
-                report["n"],
-                report["items"],
-                report["checks"],
-                report["failures"],
-                report["ok"],
-            )
-        )
-    else:
-        status = "pass" if report["ok"] else "FAIL"
-        print(
-            f"{report['suite']} on Gr({report['k']},{report['n']}): {status} "
-            f"({report['checks']} checks over {report['items']} items)"
-        )
-        if report["first_failure"]:
-            print(f"first failure: {report['first_failure']}")
+    columns = ("suite", "k", "n", "items", "checks", "failures", "ok")
+    status = "pass" if report["ok"] else "FAIL"
+    lines = [
+        f"{report['suite']} on Gr({report['k']},{report['n']}): {status} "
+        f"({report['checks']} checks over {report['items']} items)"
+    ]
+    if report["first_failure"]:
+        lines.append(f"first failure: {report['first_failure']}")
+    _emit(args, report, ",".join(columns), [[report[c] for c in columns]], lines)
     return 0 if report["ok"] else CHECK_ERROR
 
 
 def cmd_reduce(args) -> int:
     ctx = context(args.k, args.n, _trunc_from(args))
-    lam = _parse_partition_arg(args.lhs, ctx)
-    mu = _parse_partition_arg(args.rhs, ctx)
-    nu = _parse_partition_arg(args.nu, ctx)
+    lam = parse_partition(args.lhs, ctx)
+    mu = parse_partition(args.rhs, ctx)
+    nu = parse_partition(args.nu, ctx)
     d = args.deg
     if not 0 <= d <= ctx.trunc:
         print(f"degree {d} outside 0..{ctx.trunc}", file=sys.stderr)
@@ -105,47 +93,28 @@ def cmd_reduce(args) -> int:
     value = None
     if comb(args.n, args.k) <= 800:
         value = structure_constant(final["lhs"], final["rhs"], final["nu"], final["deg"], ctx)
-    if args.json:
-        out = {
-            "steps": [
-                {
-                    "rule": s["rule"],
-                    "lhs": list(s["lhs"]),
-                    "rhs": list(s["rhs"]),
-                    "nu": list(s["nu"]),
-                    "deg": s["deg"],
-                }
-                for s in steps
-            ],
-            "final": {
-                "lhs": list(final["lhs"]),
-                "rhs": list(final["rhs"]),
-                "nu": list(final["nu"]),
-                "deg": final["deg"],
-            },
-            "value": value,
-        }
-        print(json.dumps(out, separators=(",", ":")))
-        return 0
-    if args.csv:
-        print("rule,lhs,rhs,nu,deg")
-        for s in steps:
-            print(
-                f"{s['rule']},{format_partition(s['lhs'])},{format_partition(s['rhs'])},"
-                f"{format_partition(s['nu'])},{s['deg']}"
-            )
-        return 0
-    if not steps:
-        label = "already degree 0" if d == 0 else "no rule applies"
-        print(label)
-    for s in steps:
-        print(
-            f"{s['rule']}: N[{format_partition(s['lhs'])} ; {format_partition(s['rhs'])} -> "
-            f"{format_partition(s['nu'])}, q^{s['deg']}]"
-        )
+
+    parts = ("lhs", "rhs", "nu")
+
+    def tuple_obj(s):
+        return {**{key: list(s[key]) for key in parts}, "deg": s["deg"]}
+
+    lines = [] if steps else ["already degree 0" if d == 0 else "no rule applies"]
+    lines += [
+        f"{s['rule']}: N[{format_partition(s['lhs'])} ; {format_partition(s['rhs'])} -> "
+        f"{format_partition(s['nu'])}, q^{s['deg']}]"
+        for s in steps
+    ]
     if value is not None:
         kind = "classical" if final["deg"] == 0 else f"degree-{final['deg']}"
-        print(f"{kind} value: {value}")
+        lines.append(f"{kind} value: {value}")
+    obj = {
+        "steps": [{"rule": s["rule"], **tuple_obj(s)} for s in steps],
+        "final": tuple_obj(final),
+        "value": value,
+    }
+    rows = ((s["rule"], *(format_partition(s[key]) for key in parts), s["deg"]) for s in steps)
+    _emit(args, obj, "rule,lhs,rhs,nu,deg", rows, lines)
     return 0
 
 
@@ -161,8 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-k", type=int, default=3, help="number of rows (default 3)")
         p.add_argument("-n", type=int, required=True, help="ambient dimension")
         p.add_argument("--trunc", type=int, default=None, help="q-truncation degree")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--csv", action="store_true", help="CSV output")
+        out = p.add_mutually_exclusive_group()
+        out.add_argument("--json", action="store_true", help="machine-readable output")
+        out.add_argument("--csv", action="store_true", help="CSV output")
 
     p = sub.add_parser("product", help="multiply two Schubert classes")
     common(p)
@@ -193,7 +163,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ArithmeticError, OverflowError, AssertionError) as exc:

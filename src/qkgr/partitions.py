@@ -84,8 +84,10 @@ def size(lam: Partition) -> int:
 
 
 def parse_partition(text: str, ctx: GrContext) -> Partition:
-    """Parse "3,2,1" (or a bare "3"); short tuples are padded with zeros."""
+    """Parse "3,2,1", "[3,2,1]" or a bare "3"; short tuples are padded with zeros."""
     text = text.strip()
+    if text.startswith("[") and text.endswith("]"):
+        text = text[1:-1].strip()
     if text in ("", "0"):
         return normalize((), ctx)
     return normalize((int(p) for p in text.split(",")), ctx)

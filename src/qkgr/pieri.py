@@ -99,17 +99,19 @@ def quantum_pieri_restated(lam, i: int, ctx: GrContext) -> QKElement:
     return QKElement(out)
 
 
-def apply_terms(vec: dict, terms_for, trunc: int) -> dict:
-    """Apply a basiswise operator to a raw term dict, truncating in q.
+def apply_terms(vec: dict, i: int, ctx: GrContext) -> dict:
+    """Quantum multiplication by O^i on a raw term dict, truncated in q.
 
-    ``terms_for(lam)`` yields (nu, dd, coeff) triples; ``vec`` maps
-    (partition, d) to integers.  ``PieriOperator.apply_raw`` calls it, for
-    itself and for ``Gr3Engine``; ``LiftEngine`` applies Pieri rows of its
-    own, on integer ids.
+    ``vec`` maps (partition, d) to integers; each term is expanded through
+    ``quantum_terms`` and terms above ``ctx.trunc`` are dropped.
+    ``Gr3Engine`` calls it; ``LiftEngine`` applies Pieri rows of its own,
+    on integer ids.
     """
+    _check_index(i, ctx)
+    trunc = ctx.trunc
     out = {}
     for (lam, d), c in vec.items():
-        for nu, dd, c2 in terms_for(lam):
+        for nu, dd, c2 in quantum_terms(ctx, lam, i):
             dnew = d + dd
             if dnew > trunc:
                 continue
@@ -120,31 +122,3 @@ def apply_terms(vec: dict, terms_for, trunc: int) -> dict:
             elif key in out:
                 del out[key]
     return out
-
-
-class PieriOperator:
-    """Quantum multiplication by O^i, realized column-by-column.
-
-    The column for the basis element O^lam is quantum_pieri(lam, i),
-    truncated at the context q-degree.
-    """
-
-    def __init__(self, i: int, ctx: GrContext):
-        _check_index(i, ctx)
-        self.index = i
-        self.ctx = ctx
-
-    def column(self, lam) -> QKElement:
-        return quantum_pieri(lam, self.index, self.ctx).truncated(self.ctx.trunc)
-
-    def apply_raw(self, vec: dict) -> dict:
-        ctx = self.ctx
-        return apply_terms(vec, lambda lam: quantum_terms(ctx, lam, self.index), ctx.trunc)
-
-    def apply(self, elem: QKElement) -> QKElement:
-        return QKElement(self.apply_raw(elem.terms))
-
-
-@cache
-def pieri_operator(i: int, ctx: GrContext) -> PieriOperator:
-    return PieriOperator(i, ctx)

@@ -39,7 +39,7 @@ from .partitions import (
     seidel_power,
     validate,
 )
-from .pieri import pieri_operator, quantum_terms
+from .pieri import apply_terms, quantum_terms
 from .seidel import apply_t_power
 
 
@@ -288,15 +288,15 @@ class Gr3Engine:
         if rec_factor[0] == 0:
             out = vec
         elif rec_factor[1] == 0:
-            out = pieri_operator(rec_factor[0], ctx).apply_raw(vec)
+            out = apply_terms(vec, rec_factor[0], ctx)
         else:
             out = {}
             first_applied = {}
             for sign, (a, b) in giambelli_gr3(rec_factor, ctx):
                 va = first_applied.get(a)
                 if va is None:
-                    va = first_applied[a] = pieri_operator(a, ctx).apply_raw(vec)
-                term = pieri_operator(b, ctx).apply_raw(va) if b else va
+                    va = first_applied[a] = apply_terms(vec, a, ctx)
+                term = apply_terms(va, b, ctx) if b else va
                 for kk, c in term.items():
                     v = out.get(kk, 0) + sign * c
                     if v:
@@ -422,25 +422,26 @@ def verify_recursion(lam, mu, nu, d: int, ctx: GrContext) -> bool:
 
 
 class MultiplicationTable:
-    """The full basis-product table for one ring, deterministically ordered."""
+    """The full basis-product table for one ring, deterministically ordered.
+
+    The products live in the engine's own cache; the table only fixes the
+    order in which they are read.
+    """
 
     def __init__(self, ctx: GrContext, eng=None):
         self.ctx = ctx
         self.engine = eng if eng is not None else engine(ctx)
         self.basis = all_partitions(ctx)
-        self._products = {}
-        for i, lam in enumerate(self.basis):
-            for mu in self.basis[i:]:
-                self._products[(lam, mu)] = self.engine.product_basis(lam, mu)
 
     def product(self, lam, mu) -> QKElement:
-        key = (lam, mu) if basis_key(lam) <= basis_key(mu) else (mu, lam)
-        return self._products[key]
+        return self.engine.product_basis(lam, mu)
 
     def entries(self):
         """All (lam, mu, QKElement) with lam <= mu in basis order."""
-        for (lam, mu), elem in self._products.items():
-            yield lam, mu, elem
+        basis, prod = self.basis, self.engine.product_basis
+        for i, lam in enumerate(basis):
+            for mu in basis[i:]:
+                yield lam, mu, prod(lam, mu)
 
     def operator(self, lam) -> dict:
         """The column map of quantum multiplication by O^lam."""
@@ -449,7 +450,7 @@ class MultiplicationTable:
     def max_q_degree(self) -> int:
         """Largest q-degree observed across the table."""
         return max(
-            (elem.max_q() for elem in self._products.values() if not elem.is_zero()),
+            (elem.max_q() for _, _, elem in self.entries() if not elem.is_zero()),
             default=0,
         )
 
@@ -465,9 +466,3 @@ def giambelli_lift_general(ctx: GrContext) -> MultiplicationTable:
     eng = lift_engine(ctx)
     eng.check_unit_column()
     return MultiplicationTable(ctx, eng)
-
-
-@cache
-def multiplication_table(ctx: GrContext) -> MultiplicationTable:
-    """Cached full table through the default engine for the context."""
-    return MultiplicationTable(ctx)

@@ -10,7 +10,6 @@ chunk order so output is identical for any job count.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import random
 from itertools import combinations_with_replacement
@@ -245,7 +244,7 @@ SUITE_NAMES = tuple(SUITES)
 def _prepare(name, k, n, trunc, sample, seed):
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    if name == "seidel" and not trunc:
+    if name == "seidel" and trunc is None:
         trunc = max(k, n - k) + 1
     if name == "gr3n-rule" and k != 3:
         raise ValueError("the gr3n-rule suite needs k = 3")
@@ -323,6 +322,8 @@ def run_suite(
         if len(chunks) > 1:
             # check one item so the engine tables are built before forking
             check(items[0], ctx)
+            import multiprocessing  # here, so runs without a pool never load it
+
             with multiprocessing.get_context("fork").Pool(len(chunks)) as pool:
                 results = pool.map(_run_chunk, chunks)
         else:

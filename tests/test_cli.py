@@ -31,22 +31,36 @@ def test_product_json_and_csv(capsys):
     assert code == 0
     assert json.loads(out) == {"terms": [{"q": 2, "partition": [0, 0], "coeff": 1}]}
     code, out, _ = run_cli(
-        capsys, "product", "-k", "2", "-n", "4", "--lhs", "[2,2]", "--rhs", "[2,2]", "--csv"
+        capsys, "product", "-k", "2", "-n", "4", "--lhs", "[2,2]", "--rhs", "[2, 2]", "--csv"
     )
     assert code == 0
     assert out.splitlines() == ["q,partition,coeff", "2,0,0,1"]
 
 
 def test_product_unit(capsys):
-    code, out, _ = run_cli(capsys, "product", "-k", "2", "-n", "4", "--lhs", "0,0", "--rhs", "2,1")
-    assert code == 0
-    assert out.strip().endswith("= O(2,1)")
+    for unit in ("0,0", "[]", "[0, 0]"):
+        code, out, _ = run_cli(capsys, "product", "-k", "2", "-n", "4", "--lhs", unit, "--rhs", "2,1")
+        assert code == 0
+        assert out.strip().endswith("= O(2,1)"), unit
 
 
 def test_malformed_partition_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "product", "-k", "2", "-n", "4", "--lhs", "3,0", "--rhs", "1,0")
-    assert code == 2
-    assert "error" in err
+    for lhs in ("3,0", "[3,[2]]", "[null]", "[3.5,1]", "[true,1]", "[3,1"):
+        code, _, err = run_cli(capsys, "product", "-k", "2", "-n", "4", "--lhs", lhs, "--rhs", "1,0")
+        assert code == 2, lhs
+        assert err.startswith("error:"), lhs
+
+
+def test_json_and_csv_are_exclusive(capsys):
+    for command in (
+        ["product", "-k", "2", "-n", "4", "--lhs", "1", "--rhs", "1"],
+        ["verify", "seidel", "-k", "2", "-n", "4"],
+        ["reduce", "-k", "2", "-n", "4", "--lhs", "1", "--rhs", "1", "--nu", "1,1", "--deg", "0"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main([*command, "--json", "--csv"])
+        assert info.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
 
 def test_unknown_suite_rejected():
@@ -71,6 +85,13 @@ def test_verify_jobs_deterministic(capsys):
     )
     assert code == 0
     assert out1 == out2
+
+
+def test_verify_seidel_trunc_zero_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "seidel", "-k", "2", "-n", "4", "--trunc", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_verify_jobs_below_one_is_usage_error(capsys):
@@ -159,6 +180,14 @@ def test_trunc_env_override(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["terms"][0]["q"] == 2
+    # degree 4 lies above the default truncation 3 of Gr(2,4), not above 5
+    reduce = ["reduce", "-k", "2", "-n", "4", "--lhs", "2,2", "--rhs", "2,2", "--nu", "0,0", "--deg", "4"]
+    code, _, _ = run_cli(capsys, *reduce)
+    assert code == 0
+    monkeypatch.delenv("QKGR_TRUNC")
+    code, _, err = run_cli(capsys, *reduce)
+    assert code == 2
+    assert "outside 0..3" in err
 
 
 def test_console_script():
@@ -173,12 +202,13 @@ def test_console_script():
 
 def test_product_needs_no_array_libraries():
     # the package declares no runtime dependencies; a cold product must not
-    # pull in numpy or scipy, whose import alone costs more than the product
+    # pull in numpy or scipy, whose import alone costs more than the product,
+    # nor multiprocessing, which only a verify pool needs
     script = (
         "import sys\n"
         "from qkgr.cli import main\n"
         "code = main(['product', '-k', '4', '-n', '8', '--lhs', '3,2,1', '--rhs', '2,2,1', '--json'])\n"
-        "print(code, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+        "print(code, sorted(m for m in ('numpy', 'scipy', 'multiprocessing') if m in sys.modules))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

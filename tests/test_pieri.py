@@ -3,8 +3,8 @@ import pytest
 from qkgr.element import QKElement
 from qkgr.partitions import all_partitions, context, size
 from qkgr.pieri import (
+    apply_terms,
     classical_pieri,
-    pieri_operator,
     quantum_pieri,
     quantum_pieri_restated,
 )
@@ -92,26 +92,36 @@ def test_pieri_forms_agree_everywhere():
 def test_pieri_operator_on_unit():
     ctx = context(3, 6)
     for i in (1, 2, 3):
-        op = pieri_operator(i, ctx)
-        assert op.apply(QKElement.basis((0, 0, 0))) == QKElement.basis((i, 0, 0))
+        assert apply_terms({((0, 0, 0), 0): 1}, i, ctx) == {((i, 0, 0), 0): 1}
+
+
+def test_apply_terms_truncates_at_context():
+    ctx = context(3, 6)
+    top = ctx.trunc
+    for lam in all_partitions(ctx):
+        for i in range(1, ctx.width + 1):
+            want = quantum_pieri(lam, i, ctx).q_shift(top).truncated(top)
+            got = apply_terms({(lam, top): 1}, i, ctx)
+            assert QKElement(got) == want, (lam, i)
+            assert all(d <= top for _, d in got)
 
 
 @pytest.mark.parametrize("k,n", [(2, 5), (3, 6)])
 def test_pieri_operators_commute(k, n):
     ctx = context(k, n)
     basis = all_partitions(ctx)
-    ops = [pieri_operator(i, ctx) for i in range(1, ctx.width + 1)]
+    ops = range(1, ctx.width + 1)
     for a in ops:
         for b in ops:
             for lam in basis:
-                e = QKElement.basis(lam)
-                assert a.apply(b.apply(e)) == b.apply(a.apply(e)), (a.index, b.index, lam)
+                e = {(lam, 0): 1}
+                ab = apply_terms(apply_terms(e, b, ctx), a, ctx)
+                assert ab == apply_terms(apply_terms(e, a, ctx), b, ctx), (a, b, lam)
 
 
 @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (3, 6), (3, 7)])
 def test_last_pieri_operator_is_h(k, n):
     ctx = context(k, n)
-    op = pieri_operator(ctx.width, ctx)
     for lam in all_partitions(ctx):
         d, p = h_basis(lam, ctx)
-        assert op.column(lam) == QKElement.basis(p, d)
+        assert quantum_pieri(lam, ctx.width, ctx) == QKElement.basis(p, d)

@@ -11,13 +11,13 @@ from qkgr.partitions import all_partitions, context, dual, size
 from qkgr.pieri import quantum_pieri
 from qkgr.qk_engine import (
     LiftEngine,
+    MultiplicationTable,
     euler_char,
     giambelli_gr3,
     giambelli_lift_general,
     gr3_engine,
     ideal_sheaf,
     lift_engine,
-    multiplication_table,
     pairing,
     product,
     product_basis,
@@ -214,7 +214,7 @@ def test_truncation_stabilization():
 
 
 def test_table_dump_deterministic():
-    table = multiplication_table(C24)
+    table = MultiplicationTable(C24)
     buf1, buf2 = io.StringIO(), io.StringIO()
     table.dump_jsonl(buf1)
     table.dump_jsonl(buf2)
@@ -228,7 +228,7 @@ def test_table_dump_deterministic():
 
 
 def test_operator_columns():
-    table = multiplication_table(C24)
+    table = MultiplicationTable(C24)
     col = table.operator((1, 1))
     for mu, elem in col.items():
         d, p = t_basis(mu, C24)
