@@ -8,7 +8,7 @@ k-tuples with entries in [1, n].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import product as iterproduct
 
@@ -24,11 +24,19 @@ class GrContext:
     Z[q]/(q^(trunc+1)).  The default min(k, n-k)+1 is enough for every
     product of two Schubert classes; stabilization against trunc+2 is
     checked in the test suite.
+
+    The context owns its ring's basis, Seidel orbit table and default
+    engine, each built on first use.  They are set with ``object.__setattr__``,
+    not ``functools.cached_property``: touching ``__dict__`` would take the
+    fields out of CPython's inline layout and slow every ``ctx.k`` read.
     """
 
     k: int
     n: int
     trunc: int
+    orbits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _basis = None
+    _engine = None
 
     def __post_init__(self):
         if not 1 <= self.k < self.n:
@@ -41,6 +49,32 @@ class GrContext:
     @property
     def width(self) -> int:
         return self.n - self.k
+
+    @property
+    def basis(self) -> tuple[Partition, ...]:
+        """Every partition in the k x (n-k) rectangle, in basis order."""
+        if self._basis is None:
+            shapes = sorted(_shapes(self.k, self.width), key=basis_key)
+            object.__setattr__(self, "_basis", tuple(shapes))
+        return self._basis
+
+    @property
+    def engine(self):
+        """The default product engine: the Giambelli path for k = 3, else the lift."""
+        if self._engine is None:
+            from .qk_engine import Gr3Engine, LiftEngine
+
+            object.__setattr__(self, "_engine", Gr3Engine(self) if self.k == 3 else LiftEngine(self))
+        return self._engine
+
+
+def _shapes(rows: int, bound: int):
+    if rows == 0:
+        yield ()
+        return
+    for head in range(bound + 1):
+        for tail in _shapes(rows - 1, head):
+            yield (head,) + tail
 
 
 @cache
@@ -84,13 +118,17 @@ def size(lam: Partition) -> int:
 
 
 def parse_partition(text: str, ctx: GrContext) -> Partition:
-    """Parse "3,2,1", "[3,2,1]" or a bare "3"; short tuples are padded with zeros."""
+    """Parse "3,2,1", "[3,2,1]" or a bare "3"; parts are ASCII digits, and
+    short tuples are padded with zeros."""
     text = text.strip()
     if text.startswith("[") and text.endswith("]"):
         text = text[1:-1].strip()
     if text in ("", "0"):
         return normalize((), ctx)
-    return normalize((int(p) for p in text.split(",")), ctx)
+    parts = [p.strip() for p in text.split(",")]
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise ValueError(f"{text!r} is not a list of non-negative integers")
+    return normalize((int(p) for p in parts), ctx)
 
 
 def format_partition(lam: Partition) -> str:
@@ -136,14 +174,17 @@ def seidel_up1(lam: Partition, ctx: GrContext) -> Partition:
     return lam[1:] + (0,)
 
 
-@cache
 def seidel_orbit(lam: Partition, ctx: GrContext) -> tuple[tuple[int, Partition], ...]:
     """The Seidel orbit of lam with its q-powers: entry r is (d_r, lam up r).
 
     r runs over 0..n-1, and d_r = (r*k + |lam| - |lam up r|) / n is the
     power of q in T^r O^lam.  It is the only place a shift is iterated and
-    the only place a q-power is derived from partition sizes.
+    the only place a q-power is derived from partition sizes.  Orbits are
+    kept in the context's ``orbits`` table.
     """
+    got = ctx.orbits.get(lam)
+    if got is not None:
+        return got
     n = ctx.n
     out = []
     up = lam
@@ -153,7 +194,8 @@ def seidel_orbit(lam: Partition, ctx: GrContext) -> tuple[tuple[int, Partition],
             raise ArithmeticError(f"Seidel drop of {lam} at shift {r} not divisible by n={n}")
         out.append((d, up))
         up = seidel_up1(up, ctx)
-    return tuple(out)
+    got = ctx.orbits[lam] = tuple(out)
+    return got
 
 
 def seidel_power(lam: Partition, r: int, ctx: GrContext) -> tuple[int, Partition]:
@@ -264,18 +306,6 @@ def basis_key(lam: Partition) -> tuple[int, Partition]:
     return (sum(lam), lam)
 
 
-@cache
 def all_partitions(ctx: GrContext) -> tuple[Partition, ...]:
     """Every partition in the k x (n-k) rectangle, in basis order."""
-    k, w = ctx.k, ctx.width
-
-    def gen(rows, bound):
-        if rows == 0:
-            yield ()
-            return
-        for head in range(bound + 1):
-            for tail in gen(rows - 1, head):
-                yield (head,) + tail
-
-    parts = sorted(gen(k, w), key=basis_key)
-    return tuple(parts)
+    return ctx.basis

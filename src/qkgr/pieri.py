@@ -36,7 +36,6 @@ def _check_index(i: int, ctx: GrContext) -> None:
         raise ValueError(f"Pieri index {i} out of range 1..{ctx.width}")
 
 
-@cache
 def classical_terms(ctx: GrContext, lam, i: int):
     """Terms (nu, 0, coeff) of the classical product O^i . O^lam."""
     _check_index(i, ctx)

@@ -27,13 +27,11 @@ serves as the brute-force oracle for the closed-form rules.
 from __future__ import annotations
 
 import json
-from functools import cache
 from math import comb
 
 from .element import QKElement
 from .partitions import (
     GrContext,
-    all_partitions,
     basis_key,
     rook_strips_over,
     seidel_power,
@@ -232,7 +230,7 @@ class LiftEngine:
         """Verify that the kernel, solving the unit column, returns O^lam
         for every lam: the back-substitution must undo the expansions."""
         zero = _zero(self.ctx)
-        for lam in all_partitions(self.ctx):
+        for lam in self.ctx.basis:
             got = self.product_via_column(lam, zero)
             if got != QKElement.basis(lam):
                 raise ArithmeticError(f"lift does not return O^{lam} on the unit column: {got}")
@@ -328,28 +326,13 @@ class Gr3Engine:
         return got
 
 
-@cache
-def lift_engine(ctx: GrContext) -> LiftEngine:
-    return LiftEngine(ctx)
-
-
-@cache
-def gr3_engine(ctx: GrContext) -> Gr3Engine:
-    return Gr3Engine(ctx)
-
-
-def engine(ctx: GrContext):
-    """Default product engine: the Giambelli path for k = 3, else the lift."""
-    return gr3_engine(ctx) if ctx.k == 3 else lift_engine(ctx)
-
-
 def product_basis(lam, mu, ctx: GrContext) -> QKElement:
-    return engine(ctx).product_basis(lam, mu)
+    return ctx.engine.product_basis(lam, mu)
 
 
 def product(a: QKElement, b: QKElement, ctx: GrContext) -> QKElement:
     """Bilinear extension of the basis product, truncated at ctx.trunc."""
-    eng = engine(ctx)
+    eng = ctx.engine
     out = QKElement()
     for (p2, d2), c2 in b.terms.items():
         for (p1, d1), c1 in a.terms.items():
@@ -430,8 +413,8 @@ class MultiplicationTable:
 
     def __init__(self, ctx: GrContext, eng=None):
         self.ctx = ctx
-        self.engine = eng if eng is not None else engine(ctx)
-        self.basis = all_partitions(ctx)
+        self.engine = eng if eng is not None else ctx.engine
+        self.basis = ctx.basis
 
     def product(self, lam, mu) -> QKElement:
         return self.engine.product_basis(lam, mu)
@@ -462,7 +445,8 @@ class MultiplicationTable:
 
 
 def giambelli_lift_general(ctx: GrContext) -> MultiplicationTable:
-    """Full multiplication table through the lift engine, unit-checked."""
-    eng = lift_engine(ctx)
+    """Full multiplication table through a lift engine of its own, unit-checked;
+    the table is the engine's only owner, so dropping it frees every column."""
+    eng = LiftEngine(ctx)
     eng.check_unit_column()
     return MultiplicationTable(ctx, eng)

@@ -28,12 +28,6 @@ def t_basis(lam, ctx: GrContext) -> tuple[int, tuple]:
     return seidel_power(lam, 1, ctx)
 
 
-def h_basis(mu, ctx: GrContext) -> tuple[int, tuple]:
-    """H on a basis element: (q-power, partition), read as H = q T^-1."""
-    d, nu = seidel_power(mu, -1, ctx)
-    return (d + 1, nu)
-
-
 def _shift_terms(elem: QKElement, r: int, dq: int, ctx: GrContext) -> QKElement:
     """q^dq T^r applied linearly, raising on q-truncation overflow."""
     out = {}
@@ -55,16 +49,6 @@ def T(elem: QKElement, ctx: GrContext) -> QKElement:
 
 def H(elem: QKElement, ctx: GrContext) -> QKElement:
     return _shift_terms(elem, -1, 1, ctx)
-
-
-def qh_seidel_power(lam, r: int, ctx: GrContext) -> tuple[int, tuple]:
-    """T^r on a basis element: (q-power d_r, lam shifted up r times).
-
-    Powers r > n are folded through T^n = q^k Id.
-    """
-    if r < 0:
-        raise ValueError("negative Seidel power")
-    return seidel_power(lam, r, ctx)
 
 
 def apply_t_power(elem: QKElement, r: int, ctx: GrContext) -> QKElement:

@@ -13,9 +13,8 @@ from qkgr.gr3n import qlr_gr3
 from qkgr.partitions import all_partitions, context, size
 from qkgr.pieri import quantum_pieri
 from qkgr.qk_engine import (
+    LiftEngine,
     giambelli_lift_general,
-    gr3_engine,
-    lift_engine,
     pairing,
     product_basis,
     verify_recursion,
@@ -43,7 +42,7 @@ def test_criterion_1_example_52_fixture():
     start = time.perf_counter()
     ctx = context(4, 9)
     via_pieri = quantum_pieri((4, 3, 2, 1), 4, ctx)
-    via_lift = lift_engine(ctx).product_basis((4, 0, 0, 0), (4, 3, 2, 1))
+    via_lift = LiftEngine(ctx).product_basis((4, 0, 0, 0), (4, 3, 2, 1))
     elapsed = time.perf_counter() - start
     ok = via_pieri == EX52 and via_lift == EX52 and elapsed < 1.0
     report(1, ok, f"O^4 * O^(4,3,2,1) in QK(Gr(4,9)), both engines, {elapsed:.3f}s")
@@ -165,7 +164,7 @@ def test_criterion_8_ring_axioms_and_pairing():
 
     # unit and genuine commutativity
     c25 = context(2, 5)
-    lf = lift_engine(c25)
+    lf = c25.engine
     parts25 = all_partitions(c25)
     for lam in parts25:
         ok = ok and product_basis(lam, (0, 0), c25) == QKElement.basis(lam)
@@ -173,7 +172,7 @@ def test_criterion_8_ring_axioms_and_pairing():
             if lam != (0, 0) != mu:
                 ok = ok and lf.product_via_column(lam, mu) == lf.product_via_column(mu, lam)
     c37 = context(3, 7)
-    g3 = gr3_engine(c37)
+    g3 = c37.engine
     parts37 = all_partitions(c37)
     for lam in parts37:
         ok = ok and g3.product_basis(lam, (0, 0, 0)) == QKElement.basis(lam)

@@ -45,8 +45,11 @@ def test_product_unit(capsys):
 
 
 def test_malformed_partition_is_usage_error(capsys):
-    for lhs in ("3,0", "[3,[2]]", "[null]", "[3.5,1]", "[true,1]", "[3,1"):
-        code, _, err = run_cli(capsys, "product", "-k", "2", "-n", "4", "--lhs", lhs, "--rhs", "1,0")
+    cases = [("4", lhs) for lhs in ("3,0", "[3,[2]]", "[null]", "[3.5,1]", "[true,1]", "[3,1")]
+    # int() would read these as 10, 1 and 3, all inside the 2x12 rectangle
+    cases += [("14", lhs) for lhs in ("1_0", "+1", "\u0663")]
+    for n, lhs in cases:
+        code, _, err = run_cli(capsys, "product", "-k", "2", "-n", n, "--lhs", lhs, "--rhs", "1,0")
         assert code == 2, lhs
         assert err.startswith("error:"), lhs
 

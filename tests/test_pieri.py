@@ -8,7 +8,7 @@ from qkgr.pieri import (
     quantum_pieri,
     quantum_pieri_restated,
 )
-from qkgr.seidel import h_basis
+from qkgr.seidel import H
 
 C24 = context(2, 4)
 C49 = context(4, 9)
@@ -51,8 +51,7 @@ def test_quantum_pieri_full_rectangle():
     # O^(2,2) * O^2 = q O^(1,1), matching the closed form for the last special class
     got = quantum_pieri((2, 2), 2, C24)
     assert got == QKElement({((1, 1), 1): 1})
-    d, p = h_basis((2, 2), C24)
-    assert got == QKElement.basis(p, d)
+    assert got == H(QKElement.basis((2, 2)), C24)
 
 
 def test_quantum_equals_classical_without_full_rows():
@@ -123,5 +122,4 @@ def test_pieri_operators_commute(k, n):
 def test_last_pieri_operator_is_h(k, n):
     ctx = context(k, n)
     for lam in all_partitions(ctx):
-        d, p = h_basis(lam, ctx)
-        assert quantum_pieri(lam, ctx.width, ctx) == QKElement.basis(p, d)
+        assert quantum_pieri(lam, ctx.width, ctx) == H(QKElement.basis(lam), ctx)

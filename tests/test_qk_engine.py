@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import io
 import json
 import random
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -10,14 +12,13 @@ from qkgr.element import QKElement
 from qkgr.partitions import all_partitions, context, dual, size
 from qkgr.pieri import quantum_pieri
 from qkgr.qk_engine import (
+    Gr3Engine,
     LiftEngine,
     MultiplicationTable,
     euler_char,
     giambelli_gr3,
     giambelli_lift_general,
-    gr3_engine,
     ideal_sheaf,
-    lift_engine,
     pairing,
     product,
     product_basis,
@@ -72,7 +73,7 @@ def test_giambelli_gr3_recipe_shapes():
 def test_giambelli_recipe_reproduces_basis(n):
     # evaluating the recipe on the unit through quantum Pieri leaves no residue
     ctx = context(3, n)
-    eng = gr3_engine(ctx)
+    eng = Gr3Engine(ctx)
     for mu in all_partitions(ctx):
         if mu[2] != 0:
             continue
@@ -113,7 +114,7 @@ def test_reduce_third_row_parity():
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_engines_agree(n):
     ctx = context(3, n)
-    g3, lf = gr3_engine(ctx), lift_engine(ctx)
+    g3, lf = Gr3Engine(ctx), LiftEngine(ctx)
     parts = all_partitions(ctx)
     for i, lam in enumerate(parts):
         for mu in parts[i:]:
@@ -123,7 +124,7 @@ def test_engines_agree(n):
 def test_lift_pieri_rows_are_pieri():
     # the lifted operator for a special class is the Pieri operator itself
     for ctx in (context(2, 5), context(4, 8)):
-        lf = lift_engine(ctx)
+        lf = ctx.engine
         for i in range(1, ctx.width + 1):
             row = (i,) + (0,) * (ctx.k - 1)
             for mu in all_partitions(ctx):
@@ -133,7 +134,7 @@ def test_lift_pieri_rows_are_pieri():
 
 def test_product_symmetric():
     ctx = context(2, 5)
-    lf = lift_engine(ctx)
+    lf = ctx.engine
     parts = all_partitions(ctx)
     for lam in parts:
         for mu in parts:
@@ -294,6 +295,14 @@ def test_lift_tables_match_pinned_digests():
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want, (kk, nn)
 
 
+def test_dropped_lift_table_frees_its_engine():
+    table = giambelli_lift_general(context(4, 8))
+    ref = weakref.ref(table.engine)
+    del table
+    gc.collect()
+    assert ref() is None
+
+
 def test_check_unit_column_catches_a_bad_expansion():
     ctx = context(3, 6)
     LiftEngine(ctx).check_unit_column()
@@ -327,7 +336,7 @@ def test_one_product_does_not_enumerate_the_ring():
     pad = (0,) * (k - 3)
     tracemalloc.start()
     try:
-        got = lift_engine(ctx).product_basis((2, 1, 0) + pad, (1, 0, 0) + pad)
+        got = LiftEngine(ctx).product_basis((2, 1, 0) + pad, (1, 0, 0) + pad)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

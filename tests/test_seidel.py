@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qkgr.element import QKElement
-from qkgr.partitions import all_partitions, context, seidel_up, size
+from qkgr.partitions import all_partitions, context, seidel_power, seidel_up, size
 from qkgr.qk_engine import product_basis, structure_constant
 from qkgr.seidel import (
     H,
@@ -11,7 +11,6 @@ from qkgr.seidel import (
     d_min,
     duality,
     lemcom_shift,
-    qh_seidel_power,
     reduce_deg_one,
     reduce_dual_shift,
     reduce_higher,
@@ -64,9 +63,9 @@ def test_t_overflow_raises():
 
 def test_qh_seidel_power():
     for lam in all_partitions(C36):
-        assert qh_seidel_power(lam, 0, C36) == (0, lam)
-        assert qh_seidel_power(lam, C36.n, C36) == (C36.k, lam)
-        d, p = qh_seidel_power(lam, 2, C36)
+        assert seidel_power(lam, 0, C36) == (0, lam)
+        assert seidel_power(lam, C36.n, C36) == (C36.k, lam)
+        d, p = seidel_power(lam, 2, C36)
         assert p == seidel_up(lam, 2, C36)
         assert d == (2 * 3 + size(lam) - size(p)) // 6
 
