@@ -22,11 +22,11 @@ from qkgr import (
 c, n = 4, 12
 print(f"N[(8,4,0), (u,4,0) -> (8,4,0), q] in QK(Gr(3,{n})) for u = 5..{2*c}:")
 for u in range(c + 1, 2 * c + 1):
-    print(f"  u={u}:", qlr_gr3((2 * c, c, 0), (u, c, 0), (2 * c, c, 0), 1, n))
+    print(f"  u={u}:", qlr_gr3((2 * c, c, 0), (u, c, 0), (2 * c, c, 0), 1, context(3, n)))
 
 print("\nthe diagonal (2c,c,0) with n = 3c+3 gives -c:")
 for c in (1, 2, 3, 4):
-    print(f"  c={c}:", qlr_gr3((2 * c, c, 0), (2 * c, c, 0), (2 * c, c, 0), 1, 3 * c + 3))
+    print(f"  c={c}:", qlr_gr3((2 * c, c, 0), (2 * c, c, 0), (2 * c, c, 0), 1, context(3, 3 * c + 3)))
 
 # The rule agrees with the brute-force oracle on every tuple; spot-check a ring.
 ctx = context(3, 7)
@@ -38,13 +38,13 @@ for lam in parts:
         for nu in parts:
             for d in range(ctx.trunc + 1):
                 red = reduce_third_row(lam, mu, nu, d, ctx)
-                if qlr_gr3(red[0], red[1], red[2], red[3], 7) != prod.coefficient(nu, d):
+                if qlr_gr3(red[0], red[1], red[2], red[3], ctx) != prod.coefficient(nu, d):
                     mismatches += 1
 print(f"\nGr(3,7) full sweep: {mismatches} mismatches out of {len(parts)**3 * (ctx.trunc+1)} tuples")
 
 # Alternating positivity across all computed constants.
 violations = sum(
-    not positivity_check(lam, mu, nu, d, c, 7)
+    not positivity_check(lam, mu, nu, d, c, ctx)
     for lam in parts
     for mu in parts
     for (nu, d), c in product_basis(lam, mu, ctx).terms.items()

@@ -1,15 +1,14 @@
 """Command-line front end: products, verification sweeps, reduction traces.
 
 Exit codes: 0 success, 1 verification failure or internal inconsistency,
-2 usage errors (malformed flags or partitions).  The QKGR_TRUNC environment
-variable overrides the default q-truncation when --trunc is not given.
+2 usage errors (malformed flags or partitions), each reported on stderr
+as ``error: ...``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from math import comb
 
@@ -20,13 +19,6 @@ from .verify import SUITE_NAMES, run_suite
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
-
-
-def _trunc_from(args) -> int | None:
-    if args.trunc is not None:
-        return args.trunc
-    env = os.environ.get("QKGR_TRUNC")
-    return int(env) if env else None
 
 
 def _emit(args, obj, header: str, rows, lines) -> None:
@@ -43,7 +35,7 @@ def _emit(args, obj, header: str, rows, lines) -> None:
 
 
 def cmd_product(args) -> int:
-    ctx = context(args.k, args.n, _trunc_from(args))
+    ctx = context(args.k, args.n, args.trunc)
     lhs = parse_partition(args.lhs, ctx)
     rhs = parse_partition(args.rhs, ctx)
     result = product_basis(lhs, rhs, ctx)
@@ -59,13 +51,7 @@ def cmd_product(args) -> int:
 
 def cmd_verify(args) -> int:
     report = run_suite(
-        args.suite,
-        args.k,
-        args.n,
-        trunc=_trunc_from(args),
-        jobs=args.jobs,
-        sample=args.sample,
-        seed=args.seed,
+        args.suite, args.k, args.n, args.trunc, jobs=args.jobs, sample=args.sample, seed=args.seed
     )
     columns = ("suite", "k", "n", "items", "checks", "failures", "ok")
     status = "pass" if report["ok"] else "FAIL"
@@ -80,14 +66,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    ctx = context(args.k, args.n, _trunc_from(args))
+    ctx = context(args.k, args.n, args.trunc)
     lam = parse_partition(args.lhs, ctx)
     mu = parse_partition(args.rhs, ctx)
     nu = parse_partition(args.nu, ctx)
     d = args.deg
     if not 0 <= d <= ctx.trunc:
-        print(f"degree {d} outside 0..{ctx.trunc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"degree {d} outside 0..{ctx.trunc}")
     steps = reduction_trace(lam, mu, nu, d, ctx)
     final = steps[-1] if steps else {"lhs": lam, "rhs": mu, "nu": nu, "deg": d}
     value = None
@@ -166,7 +151,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ArithmeticError, OverflowError, AssertionError) as exc:
+    except ArithmeticError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return CHECK_ERROR
 

@@ -15,13 +15,14 @@ suite, for all of Gr(3, 6) through Gr(3, 10).
 
 from __future__ import annotations
 
-from .partitions import context, size, validate
+from .partitions import GrContext, size, validate
 from .qk_engine import structure_constant
 
 
-def qlr_gr3(lam, mu, nu, d: int, n: int) -> int:
-    """N_{lam,mu}^{nu,d} in QK(Gr(3, n)) for lam, mu with empty third rows."""
-    ctx = context(3, n)
+def qlr_gr3(lam, mu, nu, d: int, ctx: GrContext) -> int:
+    """N_{lam,mu}^{nu,d} in the ring ctx, QK(Gr(3, n)), for lam, mu with empty third rows."""
+    if ctx.k != 3:
+        raise ValueError(f"qlr_gr3 needs k = 3, got Gr({ctx.k}, {ctx.n})")
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     for p in (lam, mu, nu):
         validate(p, ctx)
@@ -34,7 +35,7 @@ def qlr_gr3(lam, mu, nu, d: int, n: int) -> int:
     if d >= 2:
         return 0
 
-    w = n - 3
+    w = ctx.width
     if nu[0] < max(lam[0], mu[0]):
         if nu[0] >= lam[0]:
             lam, mu = mu, lam
@@ -58,7 +59,7 @@ def qlr_gr3(lam, mu, nu, d: int, n: int) -> int:
             ctx,
         )
 
-    m = size(nu) + n - size(lam) - size(mu)
+    m = size(nu) + ctx.n - size(lam) - size(mu)
     A = lam[0] + mu[0] - nu[0] - nu[1]
     constraints = (
         A > 0
@@ -82,20 +83,21 @@ def qlr_gr3(lam, mu, nu, d: int, n: int) -> int:
     return -c1
 
 
-def positivity_check(lam, mu, nu, d: int, value: int, n: int) -> bool:
+def positivity_check(lam, mu, nu, d: int, value: int, ctx: GrContext) -> bool:
     """Whether (-1)^(|lam|+|mu|+|nu|+d*n) * value >= 0."""
-    sign = -1 if (size(lam) + size(mu) + size(nu) + d * n) % 2 else 1
+    sign = -1 if (size(lam) + size(mu) + size(nu) + d * ctx.n) % 2 else 1
     return sign * value >= 0
 
 
-def nu3_zero_case(lam, mu, nu, n: int):
+def nu3_zero_case(lam, mu, nu, ctx: GrContext):
     """Degree-one constants with nu_3 = 0 and nu dominating both factors.
 
     Returns a tagged result: ("classical", (lam', mu', nu')) when the
     constant equals the classical one for the given tuple, ("value", v)
     for the closed diagonal case, or ("zero", 0).
     """
-    ctx = context(3, n)
+    if ctx.k != 3:
+        raise ValueError(f"nu3_zero_case needs k = 3, got Gr({ctx.k}, {ctx.n})")
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     for p in (lam, mu, nu):
         validate(p, ctx)
@@ -103,7 +105,7 @@ def nu3_zero_case(lam, mu, nu, n: int):
         raise ValueError("nu3_zero_case expects empty third rows everywhere")
     if nu[0] < max(lam[0], mu[0]) or nu[1] < max(lam[1], mu[1]):
         raise ValueError("nu3_zero_case expects nu to dominate both factors")
-    w = n - 3
+    w = ctx.width
     if w - mu[1] < lam[0]:
         return (
             "classical",

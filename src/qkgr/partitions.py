@@ -77,14 +77,17 @@ def _shapes(rows: int, bound: int):
             yield (head,) + tail
 
 
-@cache
 def context(k: int, n: int, trunc: int | None = None) -> GrContext:
-    """The one GrContext for (k, n, trunc); trunc defaults to min(k, n-k)+1.
+    """The one GrContext for (k, n, trunc); trunc defaults to min(k, n-k)+1,
+    resolved before the cache lookup, so every spelling is one object.
 
     Bad input raises on every call, since exceptions are not cached.
     """
-    if trunc is None:
-        trunc = min(k, n - k) + 1
+    return _build_context(k, n, min(k, n - k) + 1 if trunc is None else trunc)
+
+
+@cache
+def _build_context(k: int, n: int, trunc: int) -> GrContext:
     return GrContext(k, n, trunc)
 
 

@@ -332,16 +332,17 @@ def product_basis(lam, mu, ctx: GrContext) -> QKElement:
 
 def product(a: QKElement, b: QKElement, ctx: GrContext) -> QKElement:
     """Bilinear extension of the basis product, truncated at ctx.trunc."""
-    eng = ctx.engine
-    out = QKElement()
+    prod, trunc = ctx.engine.product_basis, ctx.trunc
+    out = {}
     for (p2, d2), c2 in b.terms.items():
         for (p1, d1), c1 in a.terms.items():
             shift = d1 + d2
-            if shift > ctx.trunc:
+            if shift > trunc:
                 continue
-            piece = eng.product_basis(p1, p2).q_shift(shift).truncated(ctx.trunc)
-            out = out + piece.scaled(c1 * c2)
-    return out
+            for (nu, d), c in prod(p1, p2).terms.items():
+                if d + shift <= trunc:
+                    out[nu, d + shift] = out.get((nu, d + shift), 0) + c1 * c2 * c
+    return QKElement(out)
 
 
 def structure_constant(lam, mu, nu, d: int, ctx: GrContext) -> int:

@@ -97,7 +97,7 @@ def _check_gr3n_rule(pair, ctx):
         for d in range(ctx.trunc + 1):
             count += 1
             want = prod.coefficient(nu, d)
-            got = qlr_gr3(lam2, mu2, nu2, d + dd, ctx.n)
+            got = qlr_gr3(lam2, mu2, nu2, d + dd, ctx)
             if got != want:
                 return (count, f"rule {got} != oracle {want} at {lam},{mu},{nu},q^{d}")
     return (count, None)
@@ -163,7 +163,7 @@ def _check_positivity(pair, ctx):
         if ctx.k != 3 and d > 0:
             continue
         count += 1
-        if not positivity_check(lam, mu, nu, d, c, ctx.n):
+        if not positivity_check(lam, mu, nu, d, c, ctx):
             return (count, f"sign violation at {lam},{mu},{nu},q^{d}: {c}")
     return (count, None)
 
@@ -244,13 +244,19 @@ SUITE_NAMES = tuple(SUITES)
 def _prepare(name, k, n, trunc, sample, seed):
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be at least 1, got {sample}")
     if name == "seidel" and trunc is None:
         trunc = max(k, n - k) + 1
     if name == "gr3n-rule" and k != 3:
         raise ValueError("the gr3n-rule suite needs k = 3")
     ctx = context(k, n, trunc)
-    items, check = SUITES[name]
-    return items(ctx, sample, seed), check, ctx
+    build, check = SUITES[name]
+    items = build(ctx, sample, seed)
+    # the cube suites have drawn their sample by index already
+    if sample is not None and sample < len(items):
+        items = random.Random(seed).sample(items, sample)
+    return items, check, ctx
 
 
 def _cube(axes, sample, seed):

@@ -63,17 +63,17 @@ def test_criterion_2_example_74_table():
                 u = n - j - c
                 if not c < u <= 2 * c:
                     continue
-                got = qlr_gr3((2 * c, c, 0), (u, c, 0), (2 * c, c, 0), 1, n)
+                got = qlr_gr3((2 * c, c, 0), (u, c, 0), (2 * c, c, 0), 1, context(3, n))
                 ok = ok and got == expected[j](n - 3, c)
                 checked += 1
             # u outside the four-value window vanishes
             n = 3 * c + 4
             for u in range(c + 1, 2 * c + 1):
                 if n - u - c > 3:
-                    ok = ok and qlr_gr3((2 * c, c, 0), (u, c, 0), (2 * c, c, 0), 1, n) == 0
+                    ok = ok and qlr_gr3((2 * c, c, 0), (u, c, 0), (2 * c, c, 0), 1, context(3, n)) == 0
                     checked += 1
     for c in (1, 2, 3, 4):
-        got = qlr_gr3((2 * c, c, 0), (2 * c, c, 0), (2 * c, c, 0), 1, 3 * c + 3)
+        got = qlr_gr3((2 * c, c, 0), (2 * c, c, 0), (2 * c, c, 0), 1, context(3, 3 * c + 3))
         ok = ok and got == -c
         checked += 1
     report(2, ok, f"Example 7.4 values, {checked} exact matches incl. the -c diagonal")

@@ -177,20 +177,31 @@ def test_reduce_degree_zero(capsys):
 
 
 def test_trunc_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("QKGR_TRUNC", "5")
-    code, out, _ = run_cli(
-        capsys, "product", "-k", "2", "-n", "4", "--lhs", "2,2", "--rhs", "2,2", "--json"
-    )
+    # --trunc is the one way to set the truncation; QKGR_TRUNC is ignored
+    product = ["product", "-k", "2", "-n", "4", "--lhs", "2,2", "--rhs", "2,2", "--json"]
+    code, out, _ = run_cli(capsys, *product, "--trunc", "5")
     assert code == 0
     assert json.loads(out)["terms"][0]["q"] == 2
     # degree 4 lies above the default truncation 3 of Gr(2,4), not above 5
     reduce = ["reduce", "-k", "2", "-n", "4", "--lhs", "2,2", "--rhs", "2,2", "--nu", "0,0", "--deg", "4"]
-    code, _, _ = run_cli(capsys, *reduce)
-    assert code == 0
-    monkeypatch.delenv("QKGR_TRUNC")
-    code, _, err = run_cli(capsys, *reduce)
+    assert run_cli(capsys, *reduce, "--trunc", "5")[0] == 0
+    plain = run_cli(capsys, *reduce)
+    monkeypatch.setenv("QKGR_TRUNC", "5")
+    assert run_cli(capsys, *reduce) == plain
+    code, _, err = plain
     assert code == 2
     assert "outside 0..3" in err
+
+
+def test_usage_errors_share_one_prefix(capsys):
+    cases = [
+        ("reduce -k 2 -n 4 --lhs 2,2 --rhs 2,2 --nu 0,0 --deg 4", "degree 4 outside 0..3"),
+        ("verify dmin -k 2 -n 5 --sample 0", "sample must be at least 1, got 0"),
+        ("verify gr3n-rule -n 6 --sample -3", "sample must be at least 1, got -3"),
+        ("verify reductions -k 2 -n 5 --sample 0", "sample must be at least 1, got 0"),
+    ]
+    for argv, message in cases:
+        assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n"), argv
 
 
 def test_console_script():

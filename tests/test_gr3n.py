@@ -7,15 +7,23 @@ from qkgr.qk_engine import reduce_third_row, structure_constant
 
 def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        qlr_gr3((2, 1, 1), (1, 0, 0), (2, 2, 0), 1, 6)
+        qlr_gr3((2, 1, 1), (1, 0, 0), (2, 2, 0), 1, context(3, 6))
     with pytest.raises(ValueError):
-        qlr_gr3((7, 0, 0), (1, 0, 0), (2, 2, 0), 1, 6)
+        qlr_gr3((7, 0, 0), (1, 0, 0), (2, 2, 0), 1, context(3, 6))
+
+
+def test_rule_needs_a_gr3_context():
+    for k, n in [(2, 6), (4, 8)]:
+        with pytest.raises(ValueError, match="needs k = 3"):
+            qlr_gr3((1, 0, 0), (1, 0, 0), (1, 1, 0), 0, context(k, n))
+        with pytest.raises(ValueError, match="needs k = 3"):
+            nu3_zero_case((1, 0, 0), (1, 0, 0), (1, 1, 0), context(k, n))
 
 
 def test_degree_bounds():
-    assert qlr_gr3((2, 1, 0), (2, 1, 0), (2, 1, 0), 2, 6) == 0
-    assert qlr_gr3((2, 1, 0), (2, 1, 0), (2, 1, 0), -1, 6) == 0
-    assert qlr_gr3((2, 1, 0), (1, 0, 0), (3, 1, 0), 0, 6) == structure_constant(
+    assert qlr_gr3((2, 1, 0), (2, 1, 0), (2, 1, 0), 2, context(3, 6)) == 0
+    assert qlr_gr3((2, 1, 0), (2, 1, 0), (2, 1, 0), -1, context(3, 6)) == 0
+    assert qlr_gr3((2, 1, 0), (1, 0, 0), (3, 1, 0), 0, context(3, 6)) == structure_constant(
         (2, 1, 0), (1, 0, 0), (3, 1, 0), 0, context(3, 6)
     )
 
@@ -25,7 +33,7 @@ def test_example_74_diagonal():
     for c in (1, 2, 3, 4):
         n = 3 * c + 3
         lam = (2 * c, c, 0)
-        assert qlr_gr3(lam, lam, lam, 1, n) == -c
+        assert qlr_gr3(lam, lam, lam, 1, context(3, n)) == -c
 
 
 def test_example_74_table():
@@ -45,12 +53,12 @@ def test_example_74_table():
                     continue
                 lam = (2 * c, c, 0)
                 mu = (u, c, 0)
-                got = qlr_gr3(lam, mu, lam, 1, n)
+                got = qlr_gr3(lam, mu, lam, 1, context(3, n))
                 assert got == values[j](n - 3, c), (c, j, n)
                 checked += 1
     assert checked >= 8
     # u below the window gives zero
-    assert qlr_gr3((4, 2, 0), (3, 2, 0), (4, 2, 0), 1, 12) == 0
+    assert qlr_gr3((4, 2, 0), (3, 2, 0), (4, 2, 0), 1, context(3, 12)) == 0
 
 
 def test_swap_symmetry():
@@ -59,7 +67,7 @@ def test_swap_symmetry():
     for lam in parts:
         for mu in parts:
             for nu in all_partitions(ctx):
-                assert qlr_gr3(lam, mu, nu, 1, 7) == qlr_gr3(mu, lam, nu, 1, 7)
+                assert qlr_gr3(lam, mu, nu, 1, ctx) == qlr_gr3(mu, lam, nu, 1, ctx)
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -71,7 +79,7 @@ def test_rule_matches_oracle(n):
             for nu in parts:
                 for d in range(ctx.trunc + 1):
                     red = reduce_third_row(lam, mu, nu, d, ctx)
-                    assert qlr_gr3(red[0], red[1], red[2], red[3], n) == structure_constant(
+                    assert qlr_gr3(red[0], red[1], red[2], red[3], ctx) == structure_constant(
                         lam, mu, nu, d, ctx
                     ), (lam, mu, nu, d)
 
@@ -89,32 +97,32 @@ def test_rule_cases_1_2_match_deg_one_reduction():
                 if nu[0] < lam[0] or (nu[0] >= max(lam[0], mu[0]) and nu[1] < lam[1]):
                     tup = reduce_deg_one(lam, mu, nu, 1, ctx)
                     assert tup is not None and tup[3] == 0
-                    got = qlr_gr3(lam, mu, nu, 1, 8)
+                    got = qlr_gr3(lam, mu, nu, 1, ctx)
                     assert got == structure_constant(*tup, ctx)
                     hits += 1
     assert hits > 100
 
 
 def test_positivity_check():
-    assert positivity_check((2, 1, 0), (1, 1, 0), (2, 2, 1), 0, 0, 7)
-    assert positivity_check((2, 1, 0), (2, 1, 0), (2, 1, 0), 1, -1, 6)
-    assert not positivity_check((2, 1, 0), (2, 1, 0), (2, 1, 0), 1, 1, 6)
+    assert positivity_check((2, 1, 0), (1, 1, 0), (2, 2, 1), 0, 0, context(3, 7))
+    assert positivity_check((2, 1, 0), (2, 1, 0), (2, 1, 0), 1, -1, context(3, 6))
+    assert not positivity_check((2, 1, 0), (2, 1, 0), (2, 1, 0), 1, 1, context(3, 6))
 
 
 def test_nu3_zero_preconditions():
     with pytest.raises(ValueError):
-        nu3_zero_case((2, 1, 1), (1, 0, 0), (2, 2, 0), 7)
+        nu3_zero_case((2, 1, 1), (1, 0, 0), (2, 2, 0), context(3, 7))
     with pytest.raises(ValueError):
-        nu3_zero_case((2, 1, 0), (1, 0, 0), (1, 2, 0), 7)
+        nu3_zero_case((2, 1, 0), (1, 0, 0), (1, 2, 0), context(3, 7))
     with pytest.raises(ValueError):
-        nu3_zero_case((2, 1, 0), (1, 0, 0), (1, 1, 0), 7)
+        nu3_zero_case((2, 1, 0), (1, 0, 0), (1, 1, 0), context(3, 7))
 
 
 def test_nu3_zero_case_iii():
     for c in (1, 2, 3):
         n = 3 * c + 3
         lam = (2 * c, c, 0)
-        assert nu3_zero_case(lam, lam, lam, n) == ("value", -c)
+        assert nu3_zero_case(lam, lam, lam, context(3, n)) == ("value", -c)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
@@ -127,7 +135,7 @@ def test_nu3_zero_matches_oracle(n):
             for nu in parts:
                 if nu[0] < max(lam[0], mu[0]) or nu[1] < max(lam[1], mu[1]):
                     continue
-                tag, val = nu3_zero_case(lam, mu, nu, n)
+                tag, val = nu3_zero_case(lam, mu, nu, ctx)
                 cases.add(tag)
                 want = structure_constant(lam, mu, nu, 1, ctx)
                 if tag == "classical":

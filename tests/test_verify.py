@@ -1,6 +1,9 @@
 import ast
+import json
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -37,7 +40,7 @@ def test_only_three_process_lifetime_caches():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if any(_is_cache_decorator(d) for d in node.decorator_list):
                     found.add(f"{path.stem}.{node.name}")
-    assert found == {"partitions.context", "partitions.seidel_up1", "pieri.quantum_terms"}
+    assert found == {"partitions._build_context", "partitions.seidel_up1", "pieri.quantum_terms"}
 
 
 def test_chunks_capped_at_cpu_count():
@@ -70,6 +73,19 @@ def test_sample_matches_list_based_sample(suite, seed):
     assert items == random.Random(seed).sample(cube, 50)
     full, _, _ = _prepare(suite, 2, 5, None, None, seed)
     assert full == cube
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_every_suite_samples_by_one_rule(suite):
+    k, n = (3, 6) if suite == "gr3n-rule" else (2, 5)
+    full, _, _ = _prepare(suite, k, n, None, None, 5)
+    items, _, _ = _prepare(suite, k, n, None, 7, 5)
+    assert items == random.Random(5).sample(full, 7)
+    capped, _, _ = _prepare(suite, k, n, None, len(full), 5)
+    assert capped == full
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            _prepare(suite, k, n, None, bad, 5)
 
 
 def test_sample_does_not_build_the_cube():
@@ -111,14 +127,27 @@ def test_suite_counts_are_pinned():
     for suite, want in PINNED_COUNTS.items():
         k, n = (3, 6) if suite == "gr3n-rule" else (2, 5)
         assert _counts(run_suite(suite, k, n)) == want, suite
-    sampled = {"reductions": (50, 158), "duality": (50, 50), "associativity": (50, 50)}
+    sampled = {
+        "seidel": (4, 16),
+        "pieri-equiv": (10, 30),
+        "dmin": (20, 40),
+        "positivity": (20, 12),
+        "curve-nbhd": (4, 18),
+        "reductions": (50, 158),
+        "duality": (50, 50),
+        "associativity": (50, 50),
+    }
     for suite, want in sampled.items():
-        assert _counts(run_suite(suite, 2, 5, sample=50, seed=3)) == want, suite
+        # a sample of s items sweeps exactly s items
+        assert _counts(run_suite(suite, 2, 5, sample=want[0], seed=3)) == want, suite
+    assert _counts(run_suite("gr3n-rule", 3, 6, sample=5, seed=3)) == (5, 500)
     assert _counts(run_suite("reductions", 2, 5, jobs=2)) == (4000, 12331)
 
 
 def test_context_is_one_object_per_ring():
     assert context(3, 8) is context(3, 8)
+    assert context(3, 8) is context(3, 8, None) is context(3, 8, 4) is context(3, 8, trunc=4)
+    assert context(3, 8, 5) is not context(3, 8)
     for k, n in [(2, 5), (3, 6), (4, 8)]:
         eng = context(k, n).engine
         assert eng is context(k, n).engine
@@ -126,3 +155,22 @@ def test_context_is_one_object_per_ring():
     for _ in range(2):
         with pytest.raises(ValueError):
             context(3, 3)
+
+
+def test_sweeps_leave_one_context_per_ring():
+    # qlr_gr3 takes the sweep's own context instead of looking up its ring
+    script = (
+        "import gc, json\n"
+        "from qkgr.partitions import GrContext\n"
+        "from qkgr.verify import run_suite\n"
+        "run_suite('gr3n-rule', 3, 6)\n"
+        "run_suite('reductions', 3, 6)\n"
+        "gc.collect()\n"
+        "live = [(c.k, c.n, c.trunc) for c in gc.get_objects() if isinstance(c, GrContext)]\n"
+        "print(json.dumps(live))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[3, 6, 4]]
