@@ -22,11 +22,18 @@ Two independent routes compute quantum products of Schubert classes:
 
 Both engines agree entrywise wherever both apply (tested), and either one
 serves as the brute-force oracle for the closed-form rules.
+
+A full table uses the paper's Seidel representation instead of solving
+every pair.  With lam = rho up a and mu = sigma up b, and d_a the q-power
+of T^a, ``O^lam * O^mu = q^(-d_a(rho) - d_b(sigma)) T^(a+b) (O^rho * O^sigma)``,
+so ``MultiplicationTable.entries`` asks the engine only for products of
+Z/n-orbit representatives and shifts them.  ``product_basis`` always
+solves its pair directly; it is the independent oracle the orbit tables are
+tested against.
 """
 
 from __future__ import annotations
 
-import json
 from math import comb
 
 from .element import QKElement
@@ -34,11 +41,12 @@ from .partitions import (
     GrContext,
     basis_key,
     rook_strips_over,
+    seidel_orbit,
     seidel_power,
     validate,
 )
 from .pieri import apply_terms, quantum_terms
-from .seidel import apply_t_power
+from .seidel import _shift_terms, apply_t_power
 
 
 def _zero(ctx: GrContext):
@@ -408,8 +416,17 @@ def verify_recursion(lam, mu, nu, d: int, ctx: GrContext) -> bool:
 class MultiplicationTable:
     """The full basis-product table for one ring, deterministically ordered.
 
-    The products live in the engine's own cache; the table only fixes the
-    order in which they are read.
+    ``entries`` reads the table off the Seidel orbits, by the paper's Seidel
+    representation.  Write lam = rho up a, where rho is the first member of
+    lam's orbit in basis order and d_a(rho) the q-power of T^a O^rho, and
+    likewise mu = sigma up b.  Then
+
+        O^lam * O^mu = q^(-d_a(rho) - d_b(sigma)) T^(a+b) (O^rho * O^sigma),
+
+    so the engine solves only the R(R+1)/2 products of the R orbit
+    representatives, in its own cache, and every other entry is a shift.
+    ``product`` and ``operator`` ask the engine for each pair directly, so
+    ``engine.product_basis`` stays the independent oracle for the table.
     """
 
     def __init__(self, ctx: GrContext, eng=None):
@@ -420,12 +437,27 @@ class MultiplicationTable:
     def product(self, lam, mu) -> QKElement:
         return self.engine.product_basis(lam, mu)
 
+    def _representatives(self) -> dict:
+        """lam -> (rho, a, d_a(rho)) with lam = rho up a, rho the first
+        member of lam's Seidel orbit in basis order."""
+        reps = {}
+        for rho in self.basis:
+            if rho not in reps:
+                for a, (d, lam) in enumerate(seidel_orbit(rho, self.ctx)):
+                    reps.setdefault(lam, (rho, a, d))
+        return reps
+
     def entries(self):
-        """All (lam, mu, QKElement) with lam <= mu in basis order."""
-        basis, prod = self.basis, self.engine.product_basis
+        """All (lam, mu, QKElement) with lam <= mu in basis order, each
+        shifted from its representatives' product.  Raises ArithmeticError
+        if a shifted q-power leaves 0..trunc."""
+        ctx, basis, prod = self.ctx, self.basis, self.engine.product_basis
+        reps = self._representatives()
         for i, lam in enumerate(basis):
+            rho, a, da = reps[lam]
             for mu in basis[i:]:
-                yield lam, mu, prod(lam, mu)
+                sigma, b, db = reps[mu]
+                yield lam, mu, _shift_terms(prod(rho, sigma), a + b, -da - db, ctx)
 
     def operator(self, lam) -> dict:
         """The column map of quantum multiplication by O^lam."""
@@ -439,10 +471,18 @@ class MultiplicationTable:
         )
 
     def dump_jsonl(self, fp) -> None:
-        """One JSON record per (lam, mu) pair, in deterministic order."""
+        """One JSON record per (lam, mu) pair, in deterministic order.
+
+        Each line is spelled as ``json.dumps`` spells the record
+        {"lhs": lam, "rhs": mu, "terms": elem.to_obj()["terms"]} with
+        separators (",", ":"): terms sorted by q-degree, then basis order.
+        """
+        text = {lam: ",".join(map(str, lam)) for lam in self.basis}
+        rank = {lam: i for i, lam in enumerate(self.basis)}
         for lam, mu, elem in self.entries():
-            record = {"lhs": list(lam), "rhs": list(mu), "terms": elem.to_obj()["terms"]}
-            fp.write(json.dumps(record, separators=(",", ":")) + "\n")
+            terms = sorted(elem.terms.items(), key=lambda t: (t[0][1], rank[t[0][0]]))
+            body = ",".join('{"q":%d,"partition":[%s],"coeff":%d}' % (d, text[nu], c) for (nu, d), c in terms)
+            fp.write('{"lhs":[%s],"rhs":[%s],"terms":[%s]}\n' % (text[lam], text[mu], body))
 
 
 def giambelli_lift_general(ctx: GrContext) -> MultiplicationTable:

@@ -29,7 +29,11 @@ def t_basis(lam, ctx: GrContext) -> tuple[int, tuple]:
 
 
 def _shift_terms(elem: QKElement, r: int, dq: int, ctx: GrContext) -> QKElement:
-    """q^dq T^r applied linearly, raising on q-truncation overflow."""
+    """q^dq T^r applied linearly, for any integers r and dq.
+
+    Raises OverflowError (an ArithmeticError) on a q-degree above the
+    truncation, and ArithmeticError on one below 0.
+    """
     out = {}
     for (lam, d), c in elem.terms.items():
         dd, nu = seidel_power(lam, r, ctx)
@@ -38,6 +42,8 @@ def _shift_terms(elem: QKElement, r: int, dq: int, ctx: GrContext) -> QKElement:
             raise OverflowError(
                 f"q-degree {dnew} exceeds truncation {ctx.trunc}; widen the context"
             )
+        if dnew < 0:
+            raise ArithmeticError(f"q-degree {dnew} below 0 in q^{dq} T^{r} O^{lam}")
         key = (nu, dnew)
         out[key] = out.get(key, 0) + c
     return QKElement(out)

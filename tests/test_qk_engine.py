@@ -2,14 +2,18 @@ import gc
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 
 from qkgr.element import QKElement
-from qkgr.partitions import all_partitions, context, dual, size
+from qkgr.partitions import all_partitions, context, dual, seidel_orbit, size
 from qkgr.pieri import quantum_pieri
 from qkgr.qk_engine import (
     Gr3Engine,
@@ -26,7 +30,7 @@ from qkgr.qk_engine import (
     structure_constant,
     verify_recursion,
 )
-from qkgr.seidel import t_basis
+from qkgr.seidel import d_min, t_basis
 
 C24 = context(2, 4)
 C36 = context(3, 6)
@@ -343,3 +347,78 @@ def test_one_product_does_not_enumerate_the_ring():
     assert peak < 2_000_000
     want = {(2, 1, 1): 1, (2, 2, 0): 1, (3, 1, 0): 1, (2, 2, 1): -1, (3, 1, 1): -1, (3, 2, 0): -1, (3, 2, 1): 1}
     assert got == QKElement({(lam + pad, 0): c for lam, c in want.items()})
+
+
+def test_orbit_tables_match_direct_products():
+    # entries() shifts the products of orbit representatives; a fresh engine
+    # solving each pair directly (and the k = 3 recipe) is the oracle
+    for kk, nn in LIFT_TABLE_SHA256:
+        ctx = context(kk, nn)
+        lift = LiftEngine(ctx)
+        gr3 = Gr3Engine(ctx) if kk == 3 else None
+        for lam, mu, elem in giambelli_lift_general(ctx).entries():
+            assert elem == lift.product_basis(lam, mu), (kk, nn, lam, mu)
+            if gr3 is not None:
+                assert elem == gr3.product_basis(lam, mu), (kk, nn, lam, mu)
+
+
+def test_orbit_table_solves_representative_pairs_only():
+    ctx = context(4, 9)
+    orbits = {frozenset(up for _, up in seidel_orbit(lam, ctx)) for lam in ctx.basis}
+    r = len(orbits)
+    assert r == 14
+    table = giambelli_lift_general(ctx)
+    table.dump_jsonl(io.StringIO())
+    assert len(table.engine._elements) == r * (r + 1) // 2
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_orbit_table_rejects_a_corrupt_representative_product(flags):
+    # O^(1,0) * O^(0,0) in Gr(2,5), corrupted at q^trunc (shifts push it
+    # past trunc) and at q^-1; the range check must survive python -O
+    script = (
+        "from qkgr.element import QKElement\n"
+        "from qkgr.partitions import context\n"
+        "from qkgr.qk_engine import giambelli_lift_general\n"
+        "ctx = context(2, 5)\n"
+        "for deg in (ctx.trunc, -1):\n"
+        "    table = giambelli_lift_general(ctx)\n"
+        "    table.engine.product_basis((1, 0), (0, 0))\n"
+        "    table.engine._elements[(1, 0), (0, 0)] = QKElement.basis((1, 0), deg)\n"
+        "    try:\n"
+        "        list(table.entries())\n"
+        "    except ArithmeticError as exc:\n"
+        "        print(type(exc).__name__)\n"
+        "    else:\n"
+        "        print('no error')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["OverflowError", "ArithmeticError"]
+
+
+def test_orbit_tables_have_euler_characteristic_q_to_d_min():
+    # Buch-Chung-Li-Mihalcea: chi(O^lam * O^mu) is q^d_min(lam, mu)
+    for kk, nn in LIFT_TABLE_SHA256:
+        ctx = context(kk, nn)
+        for lam, mu, elem in giambelli_lift_general(ctx).entries():
+            assert euler_char(elem) == {d_min(lam, mu, ctx)[0]: 1}, (kk, nn, lam, mu)
+
+
+def test_table_dump_is_spelled_as_json_dumps():
+    # dump_jsonl formats each line by hand; json.dumps is the reference
+    for table in (giambelli_lift_general(C24), MultiplicationTable(C36)):
+        buf = io.StringIO()
+        table.dump_jsonl(buf)
+        lines = buf.getvalue().split("\n")
+        assert lines.pop() == ""
+        entries = list(table.entries())
+        assert len(lines) == len(entries)
+        for line, (lam, mu, elem) in zip(lines, entries):
+            rec = json.loads(line)
+            assert line == json.dumps(rec, separators=(",", ":"))
+            want = {"lhs": list(lam), "rhs": list(mu), "terms": elem.to_obj()["terms"]}
+            assert line == json.dumps(want, separators=(",", ":"))
+            assert QKElement.from_obj(rec) == elem == table.product(lam, mu)
