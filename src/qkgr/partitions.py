@@ -26,15 +26,23 @@ class GrContext:
     checked in the test suite.
 
     The context owns its ring's basis, Seidel orbit table and default
-    engine, each built on first use.  They are set with ``object.__setattr__``,
-    not ``functools.cached_property``: touching ``__dict__`` would take the
+    engine, each built on first use, and ``width`` = n - k, stored once.
+    They are set with ``object.__setattr__``, not
+    ``functools.cached_property``: touching ``__dict__`` would take the
     fields out of CPython's inline layout and slow every ``ctx.k`` read.
+
+    ``valid`` is the memo of ``validate``: the tuples that have passed
+    ``is_valid`` in this ring.  Only valid tuples enter it, so it never
+    holds more than the ring's basis, and only as many of those as were
+    checked.
     """
 
     k: int
     n: int
     trunc: int
+    width: int = field(init=False, compare=False, repr=False)
     orbits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    valid: set = field(default_factory=set, init=False, compare=False, repr=False)
     _basis = None
     _engine = None
 
@@ -45,10 +53,7 @@ class GrContext:
             raise ValueError(
                 f"truncation {self.trunc} below min(k, n-k)+1 for Gr({self.k}, {self.n})"
             )
-
-    @property
-    def width(self) -> int:
-        return self.n - self.k
+        object.__setattr__(self, "width", self.n - self.k)
 
     @property
     def basis(self) -> tuple[Partition, ...]:
@@ -112,8 +117,21 @@ def is_valid(lam, ctx: GrContext) -> bool:
 
 
 def validate(lam, ctx: GrContext) -> None:
+    """Raise ValueError unless lam is a partition in the ring's rectangle.
+
+    A tuple that passed once is in ``ctx.valid``, so checking it again is
+    one set lookup; anything else, lists included, runs ``is_valid``.
+    """
+    memo = type(lam) is tuple
+    try:
+        if memo and lam in ctx.valid:
+            return
+    except TypeError:  # an unhashable part: is_valid alone decides, as before
+        memo = False
     if not is_valid(lam, ctx):
         raise ValueError(f"{lam} is not a partition inside the {ctx.k}x{ctx.width} rectangle")
+    if memo:
+        ctx.valid.add(lam)
 
 
 def size(lam: Partition) -> int:

@@ -1,3 +1,5 @@
+from itertools import product as iterproduct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from qkgr.partitions import (
     shift_jump,
     size,
     to_jump_sequence,
+    validate,
 )
 
 C24 = context(2, 4)
@@ -232,3 +235,41 @@ def test_all_partitions_order_and_count():
     sizes = [size(p) for p in parts]
     assert sizes == sorted(sizes)
     assert parts[0] == (0, 0, 0) and parts[-1] == (3, 3, 3)
+
+
+def test_validate_memo_agrees_with_is_valid(monkeypatch):
+    # validate's memo is the fast path; is_valid is the slow path it must match
+    for k, n in [(2, 5), (3, 6), (4, 8)]:
+        ctx = GrContext(k, n, min(k, n - k) + 1)
+        parts = range(-1, ctx.width + 2)
+        tuples = [t for m in (k - 1, k, k + 1) for t in iterproduct(parts, repeat=m)]
+        for _ in ("cold", "warm"):
+            for t in tuples:
+                for lam in (t, list(t)):
+                    if is_valid(lam, ctx):
+                        validate(lam, ctx)
+                    else:
+                        with pytest.raises(ValueError, match="is not a partition inside"):
+                            validate(lam, ctx)
+        # no invalid tuple and no list ever entered the memo
+        assert ctx.valid == set(ctx.basis)
+
+    slow = []
+    monkeypatch.setattr("qkgr.partitions.is_valid", lambda lam, ctx: slow.append(lam) or is_valid(lam, ctx))
+    ctx = GrContext(3, 6, 4)
+    validate((2, 1, 0), ctx)
+    validate((2, 1, 0), ctx)
+    assert slow == [(2, 1, 0)]
+    # a list equal to a memoized tuple still runs the full check
+    validate([2, 1, 0], ctx)
+    assert slow == [(2, 1, 0), [2, 1, 0]]
+    assert ctx.valid == {(2, 1, 0)}
+    # a tuple with an unhashable part cannot be memoized; is_valid alone decides
+    with pytest.raises(ValueError, match="is not a partition inside"):
+        validate(([1], 0, 0, 0), ctx)
+
+    class Part(int):
+        __hash__ = None
+
+    validate((Part(2), 1, 0), ctx)
+    assert ctx.valid == {(2, 1, 0)}

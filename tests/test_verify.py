@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qkgr
-from qkgr.partitions import all_partitions, context
+from qkgr.partitions import GrContext, all_partitions, context, validate
 from qkgr.qk_engine import Gr3Engine, LiftEngine
 from qkgr.verify import SUITE_NAMES, _chunks, _prepare, run_suite
 
@@ -103,14 +103,15 @@ def test_sample_does_not_build_the_cube():
 
 
 # (items, checks) per suite on Gr(2,5), gr3n-rule on Gr(3,6), recorded
-# before the sweep driver became a suite table.
+# before the sweep driver became a suite table; positivity re-pinned when it
+# began checking every q-degree for every k (it had 36 checks).
 PINNED_COUNTS = {
     "seidel": (10, 40),
     "pieri-equiv": (30, 90),
     "gr3n-rule": (210, 21000),
     "dmin": (55, 110),
     "reductions": (4000, 12331),
-    "positivity": (55, 36),
+    "positivity": (55, 85),
     "duality": (4000, 4000),
     "curve-nbhd": (10, 42),
     "associativity": (1000, 1000),
@@ -131,7 +132,7 @@ def test_suite_counts_are_pinned():
         "seidel": (4, 16),
         "pieri-equiv": (10, 30),
         "dmin": (20, 40),
-        "positivity": (20, 12),
+        "positivity": (20, 34),
         "curve-nbhd": (4, 18),
         "reductions": (50, 158),
         "duality": (50, 50),
@@ -155,6 +156,15 @@ def test_context_is_one_object_per_ring():
     for _ in range(2):
         with pytest.raises(ValueError):
             context(3, 3)
+    # the validation memo changes neither identity nor spelling
+    ctx = context(3, 8)
+    for lam in ctx.basis:
+        validate(lam, ctx)
+    assert ctx.valid
+    assert ctx == GrContext(3, 8, 4) and hash(ctx) == hash(GrContext(3, 8, 4))
+    assert repr(ctx) == "GrContext(k=3, n=8, trunc=4)"
+    assert type(ctx.width) is int and ctx.width == 5
+    assert "width" in vars(ctx)
 
 
 def test_sweeps_leave_one_context_per_ring():
