@@ -73,7 +73,12 @@ def quantum_pieri(lam, i: int, ctx: GrContext) -> QKElement:
 
 
 def quantum_pieri_restated(lam, i: int, ctx: GrContext) -> QKElement:
-    """The restated quantum Pieri rule, via the shift lam -> lam down lam_k."""
+    """The restated quantum Pieri rule, via the shift lam -> lam down lam_k.
+
+    The q-part keeps the classical terms of O^i . O^tilde, tilde = lam down
+    lam_k, with their signs: |nu| = |nt| + k lam_k - n and |tilde| =
+    |lam| - k lam_k, so the rule's exponent |nu| + n - i - |lam| is |nt/tilde| - i.
+    """
     validate(lam, ctx)
     _check_index(i, ctx)
     k, n, w = ctx.k, ctx.n, ctx.width
@@ -81,20 +86,13 @@ def quantum_pieri_restated(lam, i: int, ctx: GrContext) -> QKElement:
     bottom = lam[k - 1]
     if bottom > 0:
         tilde = seidel_down(lam, bottom, ctx)
-        for nt in horizontal_strips_over(tilde, ctx):
-            s = size(nt) - size(tilde)
-            if s < i:
-                continue
-            r = sum(1 for a, b in zip(nt, tilde) if a > b)
-            if s > i + r - 1:
-                continue
+        for nt, _, c in classical_terms(ctx, tilde, i):
             if nt[0] <= w - bottom:
                 continue
             nu = tuple(nt[j] + bottom - 1 for j in range(1, k)) + (
                 bottom - n + k + nt[0] - 1,
             )
-            sign = (-1) ** (size(nu) + n - i - size(lam))
-            out[(nu, 1)] = out.get((nu, 1), 0) + sign * comb(r - 1, s - i)
+            out[(nu, 1)] = out.get((nu, 1), 0) + c
     return QKElement(out)
 
 

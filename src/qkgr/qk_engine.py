@@ -2,9 +2,11 @@
 
 Two independent routes compute quantum products of Schubert classes:
 
-* ``Gr3Engine`` (k = 3 only): strip both third rows, expand one reduced
+* ``Gr3Engine`` (k = 3 only): strip both third rows, expand one stripped
   factor through the two-row Giambelli recipe into quantum Pieri operators,
-  and shift the result back with powers of the Seidel operator T.
+  and shift the result back with powers of the Seidel operator T.  Its one
+  product cache holds the stripped pairs too, so a pair with a third row
+  is a T-shift of a cached entry.
 
 * ``LiftEngine`` (any k): a lift of the classical Giambelli expansion.
   Monomials in the special classes, applied smallest part first, expand at
@@ -267,70 +269,64 @@ def giambelli_gr3(mu, ctx: GrContext) -> list[tuple[int, tuple]]:
 
 
 class Gr3Engine:
-    """Multiplication in QK(Gr(3, n)) via third-row reduction and Giambelli."""
+    """Multiplication in QK(Gr(3, n)) via third-row reduction and Giambelli.
+
+    Stripping lam_3 from every row of lam is T^(-lam_3) with no q-power, so
+    O^lam * O^mu = T^(lam_3 + mu_3) (O^lam' * O^mu') with lam', mu' the
+    stripped shapes.  ``product_basis`` keeps one symmetric cache: a pair
+    with a third row shifts its stripped pair, read from that same cache,
+    and a stripped pair runs the recipe once.
+    """
 
     def __init__(self, ctx: GrContext):
         if ctx.k != 3:
             raise ValueError("Gr3Engine needs k = 3")
         self.ctx = ctx
-        self._reduced = {}
         self._elements = {}
 
-    def _product_reduced(self, lam, mu) -> dict:
-        """O^lam * O^mu for two shapes with empty third row."""
-        key = (lam, mu) if lam >= mu else (mu, lam)
-        got = self._reduced.get(key)
-        if got is not None:
-            return got
-        rec_factor, base = key
-        out = self._product_reduced_directed(base, rec_factor)
-        self._reduced[key] = out
-        return out
-
-    def _product_reduced_directed(self, base, rec_factor) -> dict:
-        """Expand rec_factor through the Giambelli recipe against O^base."""
+    def _recipe(self, base, rec) -> QKElement:
+        """O^base * O^rec for two stripped shapes: rec's Giambelli recipe
+        evaluated on O^base through quantum Pieri."""
         ctx = self.ctx
         vec = {(base, 0): 1}
-        if rec_factor[0] == 0:
-            out = vec
-        elif rec_factor[1] == 0:
-            out = apply_terms(vec, rec_factor[0], ctx)
-        else:
-            out = {}
-            first_applied = {}
-            for sign, (a, b) in giambelli_gr3(rec_factor, ctx):
-                va = first_applied.get(a)
-                if va is None:
-                    va = first_applied[a] = apply_terms(vec, a, ctx)
-                term = apply_terms(va, b, ctx) if b else va
-                for kk, c in term.items():
-                    v = out.get(kk, 0) + sign * c
-                    if v:
-                        out[kk] = v
-                    elif kk in out:
-                        del out[kk]
-        return out
-
-    def _product_shifted(self, lam, mu, reduced_product) -> QKElement:
-        """Strip both third rows, multiply, and shift back by T^(lam_3 + mu_3)."""
-        ctx = self.ctx
-        validate(lam, ctx)
-        validate(mu, ctx)
-        elem = QKElement(reduced_product(_strip_third_row(lam), _strip_third_row(mu)))
-        s = lam[2] + mu[2]
-        if s:
-            elem = apply_t_power(elem, s, ctx)
-        return elem
+        out = {}
+        first_applied = {}
+        for sign, factors in giambelli_gr3(rec, ctx):
+            term = vec
+            if factors:
+                a = factors[0]
+                term = first_applied.get(a)
+                if term is None:
+                    term = first_applied[a] = apply_terms(vec, a, ctx)
+            for b in factors[1:]:
+                if b:  # index 0 is the unit class
+                    term = apply_terms(term, b, ctx)
+            for key, c in term.items():
+                out[key] = out.get(key, 0) + sign * c
+        return QKElement(out)
 
     def product_directed(self, lam, mu) -> QKElement:
         """O^lam * O^mu with mu expanded through the recipe, uncached."""
-        return self._product_shifted(lam, mu, self._product_reduced_directed)
+        ctx = self.ctx
+        validate(lam, ctx)
+        validate(mu, ctx)
+        elem = self._recipe(_strip_third_row(lam), _strip_third_row(mu))
+        return apply_t_power(elem, lam[2] + mu[2], ctx)
 
     def product_basis(self, lam, mu) -> QKElement:
         key = (lam, mu) if lam >= mu else (mu, lam)
         got = self._elements.get(key)
         if got is None:
-            got = self._elements[key] = self._product_shifted(lam, mu, self._product_reduced)
+            ctx = self.ctx
+            validate(lam, ctx)
+            validate(mu, ctx)
+            s = lam[2] + mu[2]
+            if s:
+                stripped = self.product_basis(_strip_third_row(lam), _strip_third_row(mu))
+                got = apply_t_power(stripped, s, ctx)
+            else:
+                got = self._recipe(key[1], key[0])
+            self._elements[key] = got
         return got
 
 

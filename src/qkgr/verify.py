@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import random
+from collections.abc import Sequence
 from itertools import combinations_with_replacement
 from itertools import product as iterproduct
 
@@ -21,6 +22,7 @@ from .gr3n import positivity_check, qlr_gr3
 from .partitions import all_partitions, context, dual, seidel_power, seidel_up
 from .pieri import classical_pieri, quantum_pieri, quantum_pieri_restated
 from .qk_engine import (
+    _strip_third_row,
     product_basis,
     reduce_third_row,
     structure_constant,
@@ -89,8 +91,7 @@ def _check_gr3n_rule(pair, ctx):
     lam, mu = pair
     prod = product_basis(lam, mu, ctx)
     s = lam[2] + mu[2]
-    lam2 = (lam[0] - lam[2], lam[1] - lam[2], 0)
-    mu2 = (mu[0] - mu[2], mu[1] - mu[2], 0)
+    lam2, mu2 = _strip_third_row(lam), _strip_third_row(mu)
     count = 0
     for nu in all_partitions(ctx):
         dd, nu2 = seidel_power(nu, -s, ctx)
@@ -117,42 +118,31 @@ def _check_dmin(pair, ctx):
     return (2, None)
 
 
+def _rewrites(lam, mu, nu, d, ctx):
+    """(rule, rewritten tuple or None) for every one-step rewrite, in order."""
+    for variant in (1, 2, 3, 4):
+        yield f"lemred-{variant}", reduce_lemred(lam, mu, nu, d, variant, ctx, i=1)
+    yield "duality", duality(lam, mu, nu, d, ctx)
+    yield "deg-one", reduce_deg_one(lam, mu, nu, d, ctx)
+    for s in range(2, d + 1):
+        yield f"higher-{s}", reduce_higher(lam, mu, nu, d, s, ctx)
+    yield "dual-shift", reduce_dual_shift(lam, mu, nu, d, ctx)
+    if ctx.k == 3:
+        yield "third-row", reduce_third_row(lam, mu, nu, d, ctx)
+
+
 def _check_reductions(item, ctx):
     lam, mu, nu, d = item
     orig = structure_constant(lam, mu, nu, d, ctx)
     count = 0
-
-    def agree(tup, rule):
-        nonlocal count
+    # lazy, so a failure stops the sweep before the later rewrites run
+    for rule, tup in _rewrites(lam, mu, nu, d, ctx):
         if tup is None:
-            return None
+            continue
         count += 1
         got = _constant(tup, ctx)
         if got is not None and got != orig:
-            return f"{rule} broke {lam},{mu},{nu},q^{d}: {orig} -> {got}"
-        return None
-
-    for variant in (1, 2, 3, 4):
-        bad = agree(reduce_lemred(lam, mu, nu, d, variant, ctx, i=1), f"lemred-{variant}")
-        if bad:
-            return (count, bad)
-    bad = agree(duality(lam, mu, nu, d, ctx), "duality")
-    if bad:
-        return (count, bad)
-    bad = agree(reduce_deg_one(lam, mu, nu, d, ctx), "deg-one")
-    if bad:
-        return (count, bad)
-    for s in range(2, d + 1):
-        bad = agree(reduce_higher(lam, mu, nu, d, s, ctx), f"higher-{s}")
-        if bad:
-            return (count, bad)
-    bad = agree(reduce_dual_shift(lam, mu, nu, d, ctx), "dual-shift")
-    if bad:
-        return (count, bad)
-    if ctx.k == 3:
-        bad = agree(reduce_third_row(lam, mu, nu, d, ctx), "third-row")
-        if bad:
-            return (count, bad)
+            return (count, f"{rule} broke {lam},{mu},{nu},q^{d}: {orig} -> {got}")
     return (count, None)
 
 
@@ -202,38 +192,58 @@ def _check_associativity(triple, ctx):
     return (1, None)
 
 
-def _classes(ctx, sample, seed):
-    return list(all_partitions(ctx))
+class _Cube(Sequence):
+    """The product of the axes in row-major order, without building it.
+
+    ``random.sample`` draws by position, so a sample of the cube decodes
+    only the drawn indices and equals the same draw from the full list.
+    """
+
+    def __init__(self, *axes):
+        self.axes = axes
+
+    def __len__(self):
+        return math.prod(len(axis) for axis in self.axes)
+
+    def __getitem__(self, index):
+        item = []
+        for axis in reversed(self.axes):
+            index, j = divmod(index, len(axis))
+            item.append(axis[j])
+        return tuple(reversed(item))
+
+    def __iter__(self):
+        return iterproduct(*self.axes)
 
 
-def _pieri_items(ctx, sample, seed):
+def _pieri_items(ctx):
     return [(lam, i) for lam in all_partitions(ctx) for i in range(1, ctx.width + 1)]
 
 
-def _pairs(ctx, sample, seed):
+def _pairs(ctx):
     return list(combinations_with_replacement(all_partitions(ctx), 2))
 
 
-def _constants(ctx, sample, seed):
+def _constants(ctx):
     parts = all_partitions(ctx)
-    return _cube((parts, parts, parts, range(ctx.trunc + 1)), sample, seed)
+    return _Cube(parts, parts, parts, range(ctx.trunc + 1))
 
 
-def _triples(ctx, sample, seed):
+def _triples(ctx):
     parts = all_partitions(ctx)
-    return _cube((parts, parts, parts), sample, seed)
+    return _Cube(parts, parts, parts)
 
 
-# name -> (items(ctx, sample, seed), check(item, ctx)); the order is the CLI's.
+# name -> (items(ctx), check(item, ctx)); the order is the CLI's.
 SUITES = {
-    "seidel": (_classes, _check_seidel),
+    "seidel": (all_partitions, _check_seidel),
     "pieri-equiv": (_pieri_items, _check_pieri_equiv),
     "gr3n-rule": (_pairs, _check_gr3n_rule),
     "dmin": (_pairs, _check_dmin),
     "reductions": (_constants, _check_reductions),
     "positivity": (_pairs, _check_positivity),
     "duality": (_constants, _check_duality),
-    "curve-nbhd": (_classes, _check_curve_nbhd),
+    "curve-nbhd": (all_partitions, _check_curve_nbhd),
     "associativity": (_triples, _check_associativity),
 }
 SUITE_NAMES = tuple(SUITES)
@@ -250,31 +260,10 @@ def _prepare(name, k, n, trunc, sample, seed):
         raise ValueError("the gr3n-rule suite needs k = 3")
     ctx = context(k, n, trunc)
     build, check = SUITES[name]
-    items = build(ctx, sample, seed)
-    # the cube suites have drawn their sample by index already
+    items = build(ctx)
     if sample is not None and sample < len(items):
-        items = random.Random(seed).sample(items, sample)
-    return items, check, ctx
-
-
-def _cube(axes, sample, seed):
-    """The product of the axes in row-major order, or a seeded sample of it.
-
-    A sample is drawn by index and only the drawn indices are decoded, so
-    the cube is never built.  random.sample picks by position, so this is
-    the same sample as drawing from the full list with the same seed.
-    """
-    total = math.prod(len(axis) for axis in axes)
-    if sample is None or sample >= total:
-        return list(iterproduct(*axes))
-    items = []
-    for index in random.Random(seed).sample(range(total), sample):
-        item = []
-        for axis in reversed(axes):
-            index, j = divmod(index, len(axis))
-            item.append(axis[j])
-        items.append(tuple(reversed(item)))
-    return items
+        return random.Random(seed).sample(items, sample), check, ctx
+    return list(items), check, ctx
 
 
 def _chunks(total: int, jobs: int) -> list[tuple[int, int]]:

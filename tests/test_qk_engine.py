@@ -31,6 +31,7 @@ from qkgr.qk_engine import (
     verify_recursion,
 )
 from qkgr.seidel import d_min, t_basis
+from qkgr.verify import run_suite
 
 C24 = context(2, 4)
 C36 = context(3, 6)
@@ -83,6 +84,26 @@ def test_giambelli_recipe_reproduces_basis(n):
             continue
         got = eng.product_basis((0, 0, 0), mu)
         assert got == QKElement.basis(mu), mu
+
+
+def test_gr3_engine_keeps_one_product_cache():
+    # a pair with a third row reads its stripped pair from the same cache
+    run_suite("gr3n-rule", 3, 8)
+    eng = context(3, 8).engine
+    caches = {name: len(v) for name, v in vars(eng).items() if isinstance(v, dict)}
+    assert caches == {"_elements": 1596}
+
+
+def test_gr3_recipe_matches_lift_on_every_ordered_pair():
+    # product_directed is uncached and expands its right factor, so both
+    # orders run the recipe against the other factor
+    ctx = context(3, 6)
+    g3 = Gr3Engine(ctx)
+    for lam in all_partitions(ctx):
+        for mu in all_partitions(ctx):
+            want = LiftEngine(ctx).product_basis(lam, mu)
+            assert g3.product_directed(lam, mu) == want, (lam, mu)
+    assert not g3._elements
 
 
 def test_reduce_third_row():

@@ -145,6 +145,19 @@ def test_suite_counts_are_pinned():
     assert _counts(run_suite("reductions", 2, 5, jobs=2)) == (4000, 12331)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_reductions_report_the_first_broken_rewrite(monkeypatch, jobs):
+    # a deg-one rewrite that drops q without touching the classes is wrong
+    # exactly where the constant changes; the sweep must name the first one
+    monkeypatch.setattr(
+        "qkgr.verify.reduce_deg_one",
+        lambda lam, mu, nu, d, ctx: (lam, mu, nu, d - 1) if d >= 1 else None,
+    )
+    rep = run_suite("reductions", 2, 5, jobs=jobs)
+    assert (rep["items"], rep["checks"], rep["failures"]) == (4000, 13747, 238)
+    assert rep["first_failure"] == "deg-one broke (0, 0),(0, 0),(0, 0),q^1: 0 -> 1"
+
+
 def test_context_is_one_object_per_ring():
     assert context(3, 8) is context(3, 8)
     assert context(3, 8) is context(3, 8, None) is context(3, 8, 4) is context(3, 8, trunc=4)
