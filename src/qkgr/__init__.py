@@ -16,11 +16,9 @@ from .partitions import (
     d_count,
     dual,
     from_jump_sequence,
-    horizontal_strip,
     outer_rim_removals,
     parse_partition,
     rook_strips_over,
-    seidel_down,
     seidel_orbit,
     seidel_power,
     seidel_up,
@@ -57,7 +55,6 @@ from .seidel import (
     reduce_higher,
     reduce_lemred,
     reduction_trace,
-    t_basis,
 )
 
 __all__ = [
@@ -80,7 +77,6 @@ __all__ = [
     "gamma_special",
     "giambelli_gr3",
     "giambelli_lift_general",
-    "horizontal_strip",
     "ideal_sheaf",
     "lemcom_shift",
     "nu3_zero_case",
@@ -101,14 +97,12 @@ __all__ = [
     "reduction_trace",
     "rim_peel",
     "rook_strips_over",
-    "seidel_down",
     "seidel_orbit",
     "seidel_power",
     "seidel_up",
     "shift_jump",
     "size",
     "structure_constant",
-    "t_basis",
     "to_jump_sequence",
     "verify_recursion",
 ]

@@ -21,12 +21,8 @@ class QKElement:
         self.terms = {key: c for key, c in terms.items() if c} if terms else {}
 
     @classmethod
-    def basis(cls, lam, d: int = 0, coeff: int = 1) -> "QKElement":
-        return cls({(tuple(lam), d): coeff})
-
-    @classmethod
-    def zero(cls) -> "QKElement":
-        return cls()
+    def basis(cls, lam, d: int = 0) -> "QKElement":
+        return cls({(tuple(lam), d): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -54,31 +50,8 @@ class QKElement:
     def truncated(self, trunc: int) -> "QKElement":
         return QKElement({k: c for k, c in self.terms.items() if k[1] <= trunc})
 
-    def __add__(self, other: "QKElement") -> "QKElement":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return QKElement(out)
-
-    def __sub__(self, other: "QKElement") -> "QKElement":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) - c
-        return QKElement(out)
-
-    def __neg__(self) -> "QKElement":
-        return QKElement({k: -c for k, c in self.terms.items()})
-
-    def scaled(self, c: int) -> "QKElement":
-        if c == 0:
-            return QKElement()
-        return QKElement({k: c * v for k, v in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, QKElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def sorted_terms(self) -> list[tuple[tuple, int, int]]:
         """Terms as (partition, q_degree, coeff), in deterministic order."""
@@ -117,9 +90,6 @@ class QKElement:
                 for lam, d, c in self.sorted_terms()
             ]
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), separators=(",", ":"))
 
     @classmethod
     def from_obj(cls, obj) -> "QKElement":

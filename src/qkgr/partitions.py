@@ -231,29 +231,9 @@ def seidel_power(lam: Partition, r: int, ctx: GrContext) -> tuple[int, Partition
 
 
 def seidel_up(lam: Partition, p: int, ctx: GrContext) -> Partition:
-    """The p-th Seidel shift; p is reduced mod n (the shift has period n)."""
-    if p < 0:
-        raise ValueError("seidel_up expects a non-negative shift")
+    """The p-th Seidel shift for any integer p (negative p shifts down),
+    read mod n off the orbit table that ``seidel_power`` reads."""
     return seidel_orbit(lam, ctx)[p % ctx.n][1]
-
-
-def seidel_down(lam: Partition, p: int, ctx: GrContext) -> Partition:
-    return seidel_orbit(lam, ctx)[-p % ctx.n][1]
-
-
-def horizontal_strip(lam: Partition, nu: Partition) -> tuple[bool, int, int]:
-    """Whether nu/lam is a horizontal strip, with its size and nonempty rows.
-
-    nu/lam is a horizontal strip when nu contains lam and nu_{i+1} <= lam_i,
-    i.e. no two added boxes share a column.
-    """
-    k = len(lam)
-    for i in range(k):
-        if nu[i] < lam[i]:
-            return (False, 0, 0)
-        if i + 1 < k and nu[i + 1] > lam[i]:
-            return (False, 0, 0)
-    return (True, sum(nu) - sum(lam), sum(1 for i in range(k) if nu[i] > lam[i]))
 
 
 def horizontal_strips_over(lam: Partition, ctx: GrContext):

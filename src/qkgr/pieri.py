@@ -25,7 +25,7 @@ from .partitions import (
     GrContext,
     horizontal_strips_over,
     outer_rim_removals,
-    seidel_down,
+    seidel_up,
     size,
     validate,
 )
@@ -85,7 +85,7 @@ def quantum_pieri_restated(lam, i: int, ctx: GrContext) -> QKElement:
     out = {(nu, d): c for nu, d, c in classical_terms(ctx, lam, i)}
     bottom = lam[k - 1]
     if bottom > 0:
-        tilde = seidel_down(lam, bottom, ctx)
+        tilde = seidel_up(lam, -bottom, ctx)
         for nt, _, c in classical_terms(ctx, tilde, i):
             if nt[0] <= w - bottom:
                 continue

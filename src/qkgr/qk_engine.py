@@ -353,8 +353,9 @@ def structure_constant(lam, mu, nu, d: int, ctx: GrContext) -> int:
     """The coefficient of q^d O^nu in O^lam * O^mu."""
     if not 0 <= d <= ctx.trunc:
         raise ValueError(f"degree {d} outside 0..{ctx.trunc}")
+    nu = tuple(nu)
     validate(nu, ctx)
-    return product_basis(lam, mu, ctx).coefficient(nu, d)
+    return product_basis(lam, mu, ctx).terms.get((nu, d), 0)
 
 
 def reduce_third_row(lam, mu, nu, d: int, ctx: GrContext):
@@ -421,7 +422,7 @@ class MultiplicationTable:
 
     so the engine solves only the R(R+1)/2 products of the R orbit
     representatives, in its own cache, and every other entry is a shift.
-    ``product`` and ``operator`` ask the engine for each pair directly, so
+    ``product`` asks the engine for its pair directly, so
     ``engine.product_basis`` stays the independent oracle for the table.
     """
 
@@ -454,10 +455,6 @@ class MultiplicationTable:
             for mu in basis[i:]:
                 sigma, b, db = reps[mu]
                 yield lam, mu, _shift_terms(prod(rho, sigma), a + b, -da - db, ctx)
-
-    def operator(self, lam) -> dict:
-        """The column map of quantum multiplication by O^lam."""
-        return {mu: self.product(lam, mu) for mu in self.basis}
 
     def max_q_degree(self) -> int:
         """Largest q-degree observed across the table."""

@@ -16,16 +16,10 @@ from .element import QKElement
 from .partitions import (
     GrContext,
     dual,
-    seidel_down,
     seidel_power,
     seidel_up,
     validate,
 )
-
-
-def t_basis(lam, ctx: GrContext) -> tuple[int, tuple]:
-    """T on a basis element: (q-power, partition)."""
-    return seidel_power(lam, 1, ctx)
 
 
 def _shift_terms(elem: QKElement, r: int, dq: int, ctx: GrContext) -> QKElement:
@@ -153,9 +147,12 @@ def reduce_deg_one(lam, mu, nu, d: int, ctx: GrContext):
 
 
 def reduce_higher(lam, mu, nu, d: int, s: int, ctx: GrContext):
-    """Drop the degree by s >= 2 in one shift; None when inapplicable."""
+    """Drop the degree by s >= 2 in one shift; None when inapplicable.
+
+    The shift row t runs over s..k, so an s above k never applies.
+    """
     k = ctx.k
-    if not 2 <= s <= d:
+    if not 2 <= s <= min(d, k):
         return None
     if nu[0] + s - 2 >= lam[s - 2]:
         return None
@@ -183,9 +180,9 @@ def reduce_dual_shift(lam, mu, nu, d: int, ctx: GrContext):
     if m is None:
         return None
     return (
-        seidel_down(dual(nu, ctx), ctx.width - nu[0], ctx),
-        seidel_down(mu, k + mu[m - 1] - m, ctx),
-        seidel_down(dual(lam, ctx), ctx.n - nu[0] + mu[m - 1] - m, ctx),
+        seidel_up(dual(nu, ctx), nu[0] - ctx.width, ctx),
+        seidel_up(mu, m - k - mu[m - 1], ctx),
+        seidel_up(dual(lam, ctx), m - ctx.n + nu[0] - mu[m - 1], ctx),
         d - 1,
     )
 

@@ -1,7 +1,7 @@
 """Exhaustive verification sweeps, shared by the CLI and the test suite.
 
-Each suite prepares a deterministic list of work items plus a checker, runs
-the checker over every item (optionally split across processes), and
+Each suite prepares a deterministic sequence of work items plus a checker,
+runs the checker over every item (optionally split across processes), and
 returns a report with the number of checks, the failure count and the
 first failure.  Sweeps are embarrassingly parallel; results are merged in
 chunk order so output is identical for any job count.
@@ -13,7 +13,7 @@ import math
 import os
 import random
 from collections.abc import Sequence
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from itertools import product as iterproduct
 
 from .curve_nbhd import curve_neighborhood, gamma_special, rim_peel
@@ -37,7 +37,6 @@ from .seidel import (
     reduce_dual_shift,
     reduce_higher,
     reduce_lemred,
-    t_basis,
 )
 
 def _constant(tup, ctx):
@@ -67,7 +66,7 @@ def _check_seidel(lam, ctx):
         return (1, f"H^{n} != q^{n - k} Id at {lam}")
     if H(T(e, ctx), ctx) != e.q_shift(1):
         return (1, f"HT != q Id at {lam}")
-    d, p = t_basis(lam, ctx)
+    d, p = seidel_power(lam, 1, ctx)
     if product_basis((1,) * k, lam, ctx) != QKElement.basis(p, d):
         return (1, f"engine product disagrees with T closed form at {lam}")
     return (4, None)
@@ -217,7 +216,7 @@ class _Cube(Sequence):
 
 
 def _pieri_items(ctx):
-    return [(lam, i) for lam in all_partitions(ctx) for i in range(1, ctx.width + 1)]
+    return _Cube(all_partitions(ctx), range(1, ctx.width + 1))
 
 
 def _pairs(ctx):
@@ -259,11 +258,16 @@ def _prepare(name, k, n, trunc, sample, seed):
     if name == "gr3n-rule" and k != 3:
         raise ValueError("the gr3n-rule suite needs k = 3")
     ctx = context(k, n, trunc)
+    if name == "seidel" and ctx.trunc < max(k, n - k):
+        # T^n = q^k and H^n = q^(n-k) must fit under the truncation
+        raise ValueError(
+            f"the seidel suite needs trunc >= max(k, n-k) = {max(k, n - k)}, got {trunc}"
+        )
     build, check = SUITES[name]
     items = build(ctx)
     if sample is not None and sample < len(items):
         return random.Random(seed).sample(items, sample), check, ctx
-    return list(items), check, ctx
+    return items, check, ctx
 
 
 def _chunks(total: int, jobs: int) -> list[tuple[int, int]]:
@@ -285,7 +289,7 @@ def _run_chunk(bounds):
     ctx = _WORKER["ctx"]
     count = failures = 0
     first = None
-    for item in items[lo:hi]:
+    for item in islice(items, lo, hi):
         c, fail = check(item, ctx)
         count += c
         if fail is not None:

@@ -199,6 +199,7 @@ def test_usage_errors_share_one_prefix(capsys):
         ("verify dmin -k 2 -n 5 --sample 0", "sample must be at least 1, got 0"),
         ("verify gr3n-rule -n 6 --sample -3", "sample must be at least 1, got -3"),
         ("verify reductions -k 2 -n 5 --sample 0", "sample must be at least 1, got 0"),
+        ("verify seidel -k 2 -n 6 --trunc 3", "the seidel suite needs trunc >= max(k, n-k) = 4, got 3"),
     ]
     for argv, message in cases:
         assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n"), argv

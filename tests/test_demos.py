@@ -3,11 +3,14 @@ printed output fails here rather than in a comparison by hand."""
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import qkgr
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,3 +35,13 @@ def test_demo_output_is_pinned(name):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_SHA256[name]
+
+
+def test_readme_lists_the_public_api():
+    text = (ROOT / "README.md").read_text()
+    head = "The public names, all importable from `qkgr`:"
+    assert head in text
+    section = text.split(head, 1)[1].split("\n\n", 2)[1]
+    names = set(re.findall(r"`([A-Za-z_]\w*)`", section))
+    assert names == set(qkgr.__all__)
+    assert all(hasattr(qkgr, name) for name in names)

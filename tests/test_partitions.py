@@ -11,13 +11,12 @@ from qkgr.partitions import (
     d_count,
     dual,
     from_jump_sequence,
-    horizontal_strip,
+    horizontal_strips_over,
     is_valid,
     normalize,
     outer_rim_removals,
     parse_partition,
     rook_strips_over,
-    seidel_down,
     seidel_power,
     seidel_up,
     seidel_up1,
@@ -153,6 +152,7 @@ def test_seidel_power_against_slow_paths(ctx):
         for r in range(-n, 2 * n + 1):
             d, up = seidel_power(lam, r, ctx)
             assert (d, up) == _iterated_power(lam, r, ctx), (lam, r)
+            assert seidel_up(lam, r, ctx) == up, (lam, r)
             assert to_jump_sequence(up, ctx) == shift_jump(jumps, -r, ctx)
             if 0 <= r <= n:
                 assert d == d_count(jumps, r, ctx)
@@ -169,7 +169,7 @@ def test_seidel_shift_period_and_duality(cp):
     ctx, lam = cp
     assert seidel_up(lam, ctx.n, ctx) == lam
     for p in range(ctx.n + 1):
-        assert dual(seidel_up(lam, p, ctx), ctx) == seidel_down(dual(lam, ctx), p, ctx)
+        assert dual(seidel_up(lam, p, ctx), ctx) == seidel_up(dual(lam, ctx), -p, ctx)
 
 
 @given(ctx_and_partition(), st.integers(0, 6), st.integers(0, 6))
@@ -179,13 +179,21 @@ def test_seidel_shift_composes(cp, p, q):
 
 
 def test_horizontal_strip_examples():
-    assert horizontal_strip((1, 0), (2, 1)) == (True, 2, 2)
-    assert horizontal_strip((1, 0), (1, 1)) == (True, 1, 1)
-    assert horizontal_strip((1, 1), (3, 1)) == (True, 2, 1)
-    assert horizontal_strip((1, 1), (1, 1)) == (True, 0, 0)
-    assert horizontal_strip((2, 2), (1, 1))[0] is False
+    # nu/lam is a horizontal strip when nu contains lam and nu_{i+1} <= lam_i
+    for ctx in (C24, C36, context(4, 8)):
+        for lam in all_partitions(ctx):
+            got = list(horizontal_strips_over(lam, ctx))
+            want = [
+                nu
+                for nu in all_partitions(ctx)
+                if all(a >= b for a, b in zip(nu, lam))
+                and all(nu[i + 1] <= lam[i] for i in range(ctx.k - 1))
+            ]
+            assert len(got) == len(set(got)) and set(got) == set(want), lam
+    assert set(horizontal_strips_over((1, 0), C24)) == {(1, 0), (2, 0), (1, 1), (2, 1)}
+    assert (3, 1) in set(horizontal_strips_over((1, 1), context(2, 5)))
     # two boxes in one column: nu_2 > lam_1
-    assert horizontal_strip((1, 0), (2, 2))[0] is False
+    assert (2, 2) not in set(horizontal_strips_over((1, 0), C24))
 
 
 def test_rook_strips_examples():

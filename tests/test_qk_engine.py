@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from qkgr.element import QKElement
-from qkgr.partitions import all_partitions, context, dual, seidel_orbit, size
+from qkgr.partitions import all_partitions, context, dual, seidel_orbit, seidel_power, size
 from qkgr.pieri import quantum_pieri
 from qkgr.qk_engine import (
     Gr3Engine,
@@ -30,7 +30,7 @@ from qkgr.qk_engine import (
     structure_constant,
     verify_recursion,
 )
-from qkgr.seidel import d_min, t_basis
+from qkgr.seidel import d_min
 from qkgr.verify import run_suite
 
 C24 = context(2, 4)
@@ -49,7 +49,7 @@ def test_rectangle_square_is_q_squared():
 
 def test_t_closed_form_from_engine():
     for lam in all_partitions(C36):
-        d, p = t_basis(lam, C36)
+        d, p = seidel_power(lam, 1, C36)
         assert product_basis((1, 1, 1), lam, C36) == QKElement.basis(p, d)
 
 
@@ -58,8 +58,12 @@ def test_structure_constant_examples():
     assert structure_constant((4, 0, 0, 0), (4, 3, 2, 1), (3, 2, 1, 0), 1, c49) == -3
     # Gr(3,6) diagonal with lam = (2,1,0): the closed rule gives -1
     assert structure_constant((2, 1, 0), (2, 1, 0), (2, 1, 0), 1, C36) == -1
+    # a list nu reads the same coefficient as the tuple
+    assert structure_constant((2, 1, 0), (2, 1, 0), [2, 1, 0], 1, C36) == -1
     with pytest.raises(ValueError):
         structure_constant((1, 0), (1, 0), (1, 1), 99, C24)
+    with pytest.raises(ValueError):
+        structure_constant((1, 0), (1, 0), (3, 0), 0, C24)
 
 
 def test_giambelli_gr3_recipe_shapes():
@@ -170,10 +174,12 @@ def test_product_bilinear():
     a = QKElement({((1, 0), 0): 2, ((1, 1), 1): -1})
     b = QKElement({((2, 0), 0): 1})
     got = product(a, b, C24)
-    want = product_basis((1, 0), (2, 0), C24).scaled(2) - product_basis(
-        (1, 1), (2, 0), C24
-    ).q_shift(1)
-    assert got == want.truncated(C24.trunc)
+    want = {}
+    for (nu, d), c in product_basis((1, 0), (2, 0), C24).terms.items():
+        want[nu, d] = want.get((nu, d), 0) + 2 * c
+    for (nu, d), c in product_basis((1, 1), (2, 0), C24).terms.items():
+        want[nu, d + 1] = want.get((nu, d + 1), 0) - c
+    assert got == QKElement(want).truncated(C24.trunc)
 
 
 def test_ideal_sheaf_examples():
@@ -255,15 +261,14 @@ def test_table_dump_deterministic():
 
 def test_operator_columns():
     table = MultiplicationTable(C24)
-    col = table.operator((1, 1))
-    for mu, elem in col.items():
-        d, p = t_basis(mu, C24)
-        assert elem == QKElement.basis(p, d)
+    for mu in table.basis:
+        d, p = seidel_power(mu, 1, C24)
+        assert table.product((1, 1), mu) == QKElement.basis(p, d)
 
 
 def test_element_json_roundtrip():
     elem = product_basis((2, 1), (2, 1), C24)
-    assert QKElement.from_json(elem.to_json()) == elem
+    assert QKElement.from_json(json.dumps(elem.to_obj(), separators=(",", ":"))) == elem
     obj = elem.to_obj()
     assert obj["terms"] == sorted(obj["terms"], key=lambda t: (t["q"], sum(t["partition"])))
 

@@ -213,6 +213,10 @@ def test_reduce_higher_consistency():
                 )
     assert applied > 0
     assert reduce_higher((1, 1, 0), (1, 1, 0), (2, 2, 2), 2, 2, ctx) is None
+    # the shift row runs over s..k, so s > k never applies, at any degree
+    wide = context(2, 5, 5)
+    for s in (3, 4, 5):
+        assert reduce_higher((3, 3), (3, 3), (0, 0), 5, s, wide) is None
 
 
 def test_reduce_dual_shift():

@@ -72,7 +72,7 @@ def test_sample_matches_list_based_sample(suite, seed):
     items, _, _ = _prepare(suite, 2, 5, None, 50, seed)
     assert items == random.Random(seed).sample(cube, 50)
     full, _, _ = _prepare(suite, 2, 5, None, None, seed)
-    assert full == cube
+    assert list(full) == cube
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
@@ -82,7 +82,7 @@ def test_every_suite_samples_by_one_rule(suite):
     items, _, _ = _prepare(suite, k, n, None, 7, 5)
     assert items == random.Random(5).sample(full, 7)
     capped, _, _ = _prepare(suite, k, n, None, len(full), 5)
-    assert capped == full
+    assert list(capped) == list(full)
     for bad in (0, -3):
         with pytest.raises(ValueError, match="at least 1"):
             _prepare(suite, k, n, None, bad, 5)
@@ -100,6 +100,15 @@ def test_sample_does_not_build_the_cube():
     parts = set(all_partitions(context(5, 10)))
     assert all(lam in parts and mu in parts and nu in parts for lam, mu, nu, _ in items)
     assert peak < 5_000_000
+    # nor does a sweep without a sample: Gr(3,7) holds 214,375 tuples
+    tracemalloc.start()
+    try:
+        items, _, _ = _prepare("reductions", 3, 7, None, None, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(items) == 214_375
+    assert peak < 1_000_000
 
 
 # (items, checks) per suite on Gr(2,5), gr3n-rule on Gr(3,6), recorded
@@ -143,6 +152,18 @@ def test_suite_counts_are_pinned():
         assert _counts(run_suite(suite, 2, 5, sample=want[0], seed=3)) == want, suite
     assert _counts(run_suite("gr3n-rule", 3, 6, sample=5, seed=3)) == (5, 500)
     assert _counts(run_suite("reductions", 2, 5, jobs=2)) == (4000, 12331)
+    # degrees above k + 1 reach the s-step rewrite with s > k
+    assert _counts(run_suite("reductions", 2, 5, trunc=5)) == (6000, 19225)
+
+
+def test_seidel_suite_needs_trunc_max_k_n_minus_k():
+    # T^n = q^k and H^n = q^(n-k): the bound is tight on both sides
+    for k, n in [(2, 6), (4, 6), (3, 7), (1, 5), (5, 6)]:
+        bound = max(k, n - k)
+        assert run_suite("seidel", k, n, trunc=bound)["ok"], (k, n)
+        if bound > min(k, n - k) + 1:
+            with pytest.raises(ValueError, match="seidel suite needs trunc"):
+                run_suite("seidel", k, n, trunc=bound - 1)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
