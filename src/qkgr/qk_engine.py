@@ -29,9 +29,11 @@ A full table uses the paper's Seidel representation instead of solving
 every pair.  With lam = rho up a and mu = sigma up b, and d_a the q-power
 of T^a, ``O^lam * O^mu = q^(-d_a(rho) - d_b(sigma)) T^(a+b) (O^rho * O^sigma)``,
 so ``MultiplicationTable.entries`` asks the engine only for products of
-Z/n-orbit representatives and shifts them.  ``product_basis`` always
-solves its pair directly; it is the independent oracle the orbit tables are
-tested against.
+Z/n-orbit representatives and shifts them.  ``LiftEngine.product_basis``
+uses the same representation for one pair: it solves the fewest-row member
+of either factor's orbit and shifts back.  ``LiftEngine.product_via_column``
+solves its pair as typed, with no shift; it is the independent oracle the
+shifted products and the orbit tables are tested against.
 """
 
 from __future__ import annotations
@@ -202,15 +204,25 @@ class LiftEngine:
         return QKElement({(parts[t % stride], t // stride): c for t, c in vec.items()})
 
     def product_via_column(self, row, col) -> QKElement:
-        """O^row * O^col solved inside the col-column, bypassing the
-        symmetric cache; lets tests check commutativity for real."""
+        """O^row * O^col solved inside the col-column as typed, with no
+        shift and bypassing the symmetric cache: the direct oracle for
+        ``product_basis``, and lets tests check commutativity for real."""
         validate(row, self.ctx)
         validate(col, self.ctx)
         rid, mid = self._intern(row), self._intern(col)
         return self._element(self._solve_column(mid, rid)[rid])
 
     def product_basis(self, lam, mu) -> QKElement:
-        """O^lam * O^mu; lam is solved inside the mu-column."""
+        """O^lam * O^mu through the cheapest Seidel shift of either factor.
+
+        T^r O^p = q^(d_r) O^(p up r), so O^p * O^c = q^(d_r) T^(-r) (O^rho * O^c)
+        with rho = p up r.  Of the 2n members rho of the two factors'
+        orbits, each against the other factor c as column, the one with the
+        fewest nonzero rows, then the largest, is solved: its monomial has
+        l(rho) Pieri factors and its closure lies above rho in basis order.
+        Ties go to lam's orbit, then to the smaller r.  A rectangle's orbit
+        holds (0), so its product is the unit solved in the other column.
+        """
         key = (lam, mu) if lam >= mu else (mu, lam)
         got = self._elements.get(key)
         if got is not None:
@@ -218,21 +230,16 @@ class LiftEngine:
         ctx = self.ctx
         validate(lam, ctx)
         validate(mu, ctx)
-        zero = _zero(ctx)
-        if lam == zero:
-            elem = QKElement.basis(mu)
-        elif mu == zero:
-            elem = QKElement.basis(lam)
-        else:
-            lid, mid = self._intern(lam), self._intern(mu)
-            done = self._columns.get(mid)
-            if done is None or lid not in done:
-                other = self._columns.get(lid)
-                if other is not None and mid in other:
-                    lid, done = mid, other
-                else:
-                    done = self._solve_column(mid, lid)
-            elem = self._element(done[lid])
+        pairs = ((lam, mu), (mu, lam))
+        _, _, side, r = min(
+            (len(rho) - rho.count(0), -sum(rho), side, r)
+            for side, (p, _) in enumerate(pairs)
+            for r, (_, rho) in enumerate(seidel_orbit(p, ctx))
+        )
+        p, col = pairs[side]
+        d, rho = seidel_orbit(p, ctx)[r]
+        rid, mid = self._intern(rho), self._intern(col)
+        elem = _shift_terms(self._element(self._solve_column(mid, rid)[rid]), -r, d, ctx)
         self._elements[key] = elem
         return elem
 
@@ -422,8 +429,9 @@ class MultiplicationTable:
 
     so the engine solves only the R(R+1)/2 products of the R orbit
     representatives, in its own cache, and every other entry is a shift.
-    ``product`` asks the engine for its pair directly, so
-    ``engine.product_basis`` stays the independent oracle for the table.
+    ``product`` asks the engine for its one pair;
+    ``LiftEngine.product_via_column``, which never shifts, is the
+    independent oracle for the table.
     """
 
     def __init__(self, ctx: GrContext, eng=None):

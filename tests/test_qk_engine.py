@@ -151,14 +151,16 @@ def test_engines_agree(n):
 
 
 def test_lift_pieri_rows_are_pieri():
-    # the lifted operator for a special class is the Pieri operator itself
+    # the lifted operator for a special class, solved with no Seidel shift,
+    # is the Pieri operator itself; the shifted product agrees with it
     for ctx in (context(2, 5), context(4, 8)):
-        lf = ctx.engine
+        lf = LiftEngine(ctx)
         for i in range(1, ctx.width + 1):
             row = (i,) + (0,) * (ctx.k - 1)
             for mu in all_partitions(ctx):
-                got = lf.product_basis(row, mu)
+                got = lf.product_via_column(row, mu)
                 assert got == quantum_pieri(mu, i, ctx).truncated(ctx.trunc)
+                assert ctx.engine.product_basis(row, mu) == got
 
 
 def test_product_symmetric():
@@ -379,15 +381,54 @@ def test_one_product_does_not_enumerate_the_ring():
 
 def test_orbit_tables_match_direct_products():
     # entries() shifts the products of orbit representatives; a fresh engine
-    # solving each pair directly (and the k = 3 recipe) is the oracle
+    # solving each pair as typed, with no shift (and the k = 3 recipe), is
+    # the oracle
     for kk, nn in LIFT_TABLE_SHA256:
         ctx = context(kk, nn)
         lift = LiftEngine(ctx)
         gr3 = Gr3Engine(ctx) if kk == 3 else None
         for lam, mu, elem in giambelli_lift_general(ctx).entries():
-            assert elem == lift.product_basis(lam, mu), (kk, nn, lam, mu)
+            assert elem == lift.product_via_column(lam, mu), (kk, nn, lam, mu)
             if gr3 is not None:
                 assert elem == gr3.product_basis(lam, mu), (kk, nn, lam, mu)
+
+
+def _shifted_and_direct(ctx, pairs):
+    shifted, direct = LiftEngine(ctx), LiftEngine(ctx)
+    for lam, mu in pairs:
+        assert shifted.product_basis(lam, mu) == direct.product_via_column(lam, mu), (ctx, lam, mu)
+
+
+@pytest.mark.parametrize("kk, nn, trunc", [(2, 6, None), (4, 8, None), (4, 8, 6)])
+def test_shifted_products_match_direct_solves(kk, nn, trunc):
+    # product_basis solves a Seidel shift of one factor and shifts back; at
+    # trunc = 6 a shift that left 0..trunc would raise or lose a term
+    ctx = context(kk, nn, trunc)
+    parts = ctx.basis
+    _shifted_and_direct(ctx, [(lam, mu) for i, lam in enumerate(parts) for mu in parts[i:]])
+
+
+def test_shifted_products_match_direct_solves_sampled():
+    ctx = context(5, 10)
+    rng = random.Random(12)
+    _shifted_and_direct(ctx, [(rng.choice(ctx.basis), rng.choice(ctx.basis)) for _ in range(200)])
+
+
+@pytest.mark.parametrize(
+    "kk, nn, lam, mu",
+    [
+        (6, 12, (5, 4, 4, 4, 1, 1), (5, 4, 1, 0, 0, 0)),
+        (6, 12, (4, 2, 2, 1, 1, 0), (4, 4, 3, 3, 3, 0)),
+        (5, 11, (4, 3, 3, 2, 2), (5, 2, 2, 2, 2)),
+        (4, 11, (4, 3, 3, 2), (5, 5, 4, 1)),
+    ],
+)
+def test_cold_product_solves_its_cheapest_shift(kk, nn, lam, mu):
+    # solved as typed, each of these fills 153 to 250 column entries; the
+    # fewest-row member of the two orbits needs at most 37
+    eng = LiftEngine(context(kk, nn))
+    eng.product_basis(lam, mu)
+    assert sum(len(col) for col in eng._columns.values()) <= 40
 
 
 def test_orbit_table_solves_representative_pairs_only():
