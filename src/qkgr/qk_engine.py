@@ -230,15 +230,12 @@ class LiftEngine:
         ctx = self.ctx
         validate(lam, ctx)
         validate(mu, ctx)
-        pairs = ((lam, mu), (mu, lam))
-        _, _, side, r = min(
-            (len(rho) - rho.count(0), -sum(rho), side, r)
-            for side, (p, _) in enumerate(pairs)
-            for r, (_, rho) in enumerate(seidel_orbit(p, ctx))
+        _, _, side, r, d, rho = min(
+            (len(rho) - rho.count(0), -sum(rho), side, r, d, rho)
+            for side, p in enumerate((lam, mu))
+            for r, (d, rho) in enumerate(seidel_orbit(p, ctx))
         )
-        p, col = pairs[side]
-        d, rho = seidel_orbit(p, ctx)[r]
-        rid, mid = self._intern(rho), self._intern(col)
+        rid, mid = self._intern(rho), self._intern((mu, lam)[side])
         elem = _shift_terms(self._element(self._solve_column(mid, rid)[rid]), -r, d, ctx)
         self._elements[key] = elem
         return elem

@@ -393,25 +393,24 @@ def test_orbit_tables_match_direct_products():
                 assert elem == gr3.product_basis(lam, mu), (kk, nn, lam, mu)
 
 
-def _shifted_and_direct(ctx, pairs):
-    shifted, direct = LiftEngine(ctx), LiftEngine(ctx)
-    for lam, mu in pairs:
-        assert shifted.product_basis(lam, mu) == direct.product_via_column(lam, mu), (ctx, lam, mu)
-
-
-@pytest.mark.parametrize("kk, nn, trunc", [(2, 6, None), (4, 8, None), (4, 8, 6)])
-def test_shifted_products_match_direct_solves(kk, nn, trunc):
-    # product_basis solves a Seidel shift of one factor and shifts back; at
-    # trunc = 6 a shift that left 0..trunc would raise or lose a term
+@pytest.mark.parametrize(
+    "kk, nn, trunc, sample",
+    [(2, 6, None, None), (4, 8, None, None), (4, 8, 6, None), (5, 10, None, 200)],
+)
+def test_shifted_products_match_direct_solves(kk, nn, trunc, sample):
+    # product_basis solves a Seidel shift of one factor and shifts back; a
+    # fresh engine solving each pair as typed is the oracle.  At trunc = 6 a
+    # shift that left 0..trunc would raise or lose a term
     ctx = context(kk, nn, trunc)
     parts = ctx.basis
-    _shifted_and_direct(ctx, [(lam, mu) for i, lam in enumerate(parts) for mu in parts[i:]])
-
-
-def test_shifted_products_match_direct_solves_sampled():
-    ctx = context(5, 10)
-    rng = random.Random(12)
-    _shifted_and_direct(ctx, [(rng.choice(ctx.basis), rng.choice(ctx.basis)) for _ in range(200)])
+    if sample is None:
+        pairs = [(lam, mu) for i, lam in enumerate(parts) for mu in parts[i:]]
+    else:
+        rng = random.Random(12)
+        pairs = [(rng.choice(parts), rng.choice(parts)) for _ in range(sample)]
+    shifted, direct = LiftEngine(ctx), LiftEngine(ctx)
+    for lam, mu in pairs:
+        assert shifted.product_basis(lam, mu) == direct.product_via_column(lam, mu), (lam, mu)
 
 
 @pytest.mark.parametrize(
