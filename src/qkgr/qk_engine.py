@@ -26,14 +26,16 @@ Both engines agree entrywise wherever both apply (tested), and either one
 serves as the brute-force oracle for the closed-form rules.
 
 A full table uses the paper's Seidel representation instead of solving
-every pair.  With lam = rho up a and mu = sigma up b, and d_a the q-power
-of T^a, ``O^lam * O^mu = q^(-d_a(rho) - d_b(sigma)) T^(a+b) (O^rho * O^sigma)``,
-so ``MultiplicationTable.entries`` asks the engine only for products of
+every pair.  With T^a O^lam = q^(d_a) O^rho and T^b O^mu = q^(d_b) O^sigma,
+``O^lam * O^mu = q^(d_a + d_b) T^(-a-b) (O^rho * O^sigma)``, so
+``MultiplicationTable.entries`` asks the engine only for products of
 Z/n-orbit representatives and shifts them.  ``LiftEngine.product_basis``
 uses the same representation for one pair: it solves the fewest-row member
-of either factor's orbit and shifts back.  ``LiftEngine.product_via_column``
-solves its pair as typed, with no shift; it is the independent oracle the
-shifted products and the orbit tables are tested against.
+of either factor's orbit and shifts back.  One rule, ``_fewest_rows``,
+picks the member in both places, so a representative pair needs no shift.
+``LiftEngine.product_via_column`` solves its pair as typed, with no shift;
+it is the independent oracle the shifted products, the orbit tables and
+the ``seidel`` and ``dmin`` sweeps are checked against.
 """
 
 from __future__ import annotations
@@ -55,6 +57,18 @@ from .seidel import _shift_terms, apply_t_power
 
 def _zero(ctx: GrContext):
     return (0,) * ctx.k
+
+
+def _fewest_rows(p, ctx: GrContext) -> tuple:
+    """(rows, -size, rho, r, d): the member rho = p up r of p's Seidel orbit,
+    T^r O^p = q^d O^rho, with the fewest nonzero rows, then the largest,
+    then the least as a tuple, then the smallest r.  Every member of one
+    orbit picks the same rho; the first two fields rank it against the
+    choice from another orbit."""
+    return min(
+        (len(rho) - rho.count(0), -sum(rho), rho, r, d)
+        for r, (d, rho) in enumerate(seidel_orbit(p, ctx))
+    )
 
 
 def _strip_third_row(lam):
@@ -220,8 +234,9 @@ class LiftEngine:
         orbits, each against the other factor c as column, the one with the
         fewest nonzero rows, then the largest, is solved: its monomial has
         l(rho) Pieri factors and its closure lies above rho in basis order.
-        Ties go to lam's orbit, then to the smaller r.  A rectangle's orbit
-        holds (0), so its product is the unit solved in the other column.
+        Ties go to lam's orbit; ``_fewest_rows`` breaks them within an
+        orbit.  A rectangle's orbit holds (0), so its product is the unit
+        solved in the other column.
         """
         key = (lam, mu) if lam >= mu else (mu, lam)
         got = self._elements.get(key)
@@ -230,13 +245,12 @@ class LiftEngine:
         ctx = self.ctx
         validate(lam, ctx)
         validate(mu, ctx)
-        _, _, side, r, d, rho = min(
-            (len(rho) - rho.count(0), -sum(rho), side, r, d, rho)
-            for side, p in enumerate((lam, mu))
-            for r, (d, rho) in enumerate(seidel_orbit(p, ctx))
-        )
-        rid, mid = self._intern(rho), self._intern((mu, lam)[side])
-        elem = _shift_terms(self._element(self._solve_column(mid, rid)[rid]), -r, d, ctx)
+        a, b = _fewest_rows(lam, ctx), _fewest_rows(mu, ctx)
+        (_, _, rho, r, d), col = (a, mu) if a[:2] <= b[:2] else (b, lam)
+        rid, mid = self._intern(rho), self._intern(col)
+        elem = self._element(self._solve_column(mid, rid)[rid])
+        if r:
+            elem = _shift_terms(elem, -r, d, ctx)
         self._elements[key] = elem
         return elem
 
@@ -418,14 +432,16 @@ class MultiplicationTable:
     """The full basis-product table for one ring, deterministically ordered.
 
     ``entries`` reads the table off the Seidel orbits, by the paper's Seidel
-    representation.  Write lam = rho up a, where rho is the first member of
-    lam's orbit in basis order and d_a(rho) the q-power of T^a O^rho, and
-    likewise mu = sigma up b.  Then
+    representation.  Write T^a O^lam = q^(d_a) O^rho, where rho is the
+    member of lam's orbit that ``_fewest_rows`` picks, the one
+    ``LiftEngine.product_basis`` would solve, and likewise
+    T^b O^mu = q^(d_b) O^sigma.  Then
 
-        O^lam * O^mu = q^(-d_a(rho) - d_b(sigma)) T^(a+b) (O^rho * O^sigma),
+        O^lam * O^mu = q^(d_a + d_b) T^(-a-b) (O^rho * O^sigma),
 
     so the engine solves only the R(R+1)/2 products of the R orbit
-    representatives, in its own cache, and every other entry is a shift.
+    representatives, each with no further shift, in its own cache, and
+    every other entry is one shift.
     ``product`` asks the engine for its one pair;
     ``LiftEngine.product_via_column``, which never shifts, is the
     independent oracle for the table.
@@ -439,27 +455,23 @@ class MultiplicationTable:
     def product(self, lam, mu) -> QKElement:
         return self.engine.product_basis(lam, mu)
 
-    def _representatives(self) -> dict:
-        """lam -> (rho, a, d_a(rho)) with lam = rho up a, rho the first
-        member of lam's Seidel orbit in basis order."""
-        reps = {}
-        for rho in self.basis:
-            if rho not in reps:
-                for a, (d, lam) in enumerate(seidel_orbit(rho, self.ctx)):
-                    reps.setdefault(lam, (rho, a, d))
-        return reps
-
     def entries(self):
         """All (lam, mu, QKElement) with lam <= mu in basis order, each
         shifted from its representatives' product.  Raises ArithmeticError
         if a shifted q-power leaves 0..trunc."""
         ctx, basis, prod = self.ctx, self.basis, self.engine.product_basis
-        reps = self._representatives()
+        reps = {}  # lam -> (rho, a, d_a), read off one orbit per representative
+        for lam in basis:
+            if lam not in reps:
+                _, _, rho, j, dj = _fewest_rows(lam, ctx)
+                for i, (di, p) in enumerate(seidel_orbit(lam, ctx)):
+                    # T^i O^lam = q^di O^p and T^j O^lam = q^dj O^rho
+                    reps.setdefault(p, (rho, j - i, dj - di))
         for i, lam in enumerate(basis):
             rho, a, da = reps[lam]
             for mu in basis[i:]:
                 sigma, b, db = reps[mu]
-                yield lam, mu, _shift_terms(prod(rho, sigma), a + b, -da - db, ctx)
+                yield lam, mu, _shift_terms(prod(rho, sigma), -a - b, da + db, ctx)
 
     def max_q_degree(self) -> int:
         """Largest q-degree observed across the table."""

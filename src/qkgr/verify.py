@@ -22,6 +22,7 @@ from .gr3n import positivity_check, qlr_gr3
 from .partitions import all_partitions, context, dual, seidel_power, seidel_up
 from .pieri import classical_pieri, quantum_pieri, quantum_pieri_restated
 from .qk_engine import (
+    LiftEngine,
     _strip_third_row,
     product_basis,
     reduce_third_row,
@@ -47,7 +48,10 @@ def _constant(tup, ctx):
 
 
 # _run_chunk reads the items, the checker and the context from _WORKER so
-# that a fork-based pool can reach them without pickling.
+# that a fork-based pool can reach them without pickling.  The run's own
+# LiftEngine sits there too: its product_via_column solves a pair as typed,
+# with no Seidel shift, so the checks of a shift identity read their
+# unshifted side from it rather than from the shifting ctx.engine.
 _WORKER: dict = {}
 
 
@@ -67,7 +71,7 @@ def _check_seidel(lam, ctx):
     if H(T(e, ctx), ctx) != e.q_shift(1):
         return (1, f"HT != q Id at {lam}")
     d, p = seidel_power(lam, 1, ctx)
-    if product_basis((1,) * k, lam, ctx) != QKElement.basis(p, d):
+    if _WORKER["direct"].product_via_column(lam, (1,) * k) != QKElement.basis(p, d):
         return (1, f"engine product disagrees with T closed form at {lam}")
     return (4, None)
 
@@ -106,7 +110,10 @@ def _check_gr3n_rule(pair, ctx):
 def _check_dmin(pair, ctx):
     lam, mu = pair
     d, r = d_min(lam, mu, ctx)
-    prod = product_basis(lam, mu, ctx)
+    # unshifted, with the factor of fewer nonzero rows solved as the row:
+    # its Giambelli monomial is shorter, the cheaper of the two direct solves
+    row, col = sorted((lam, mu), key=lambda p: len(p) - p.count(0))
+    prod = _WORKER["direct"].product_via_column(row, col)
     if prod.min_q() != d:
         return (1, f"d_min {d} != smallest power {prod.min_q()} at {lam},{mu}")
     shifted = product_basis(
@@ -314,7 +321,7 @@ def run_suite(
     items, check, ctx = _prepare(name, k, n, trunc, sample, seed)
     chunks = _chunks(len(items), jobs)
     results = []
-    _WORKER.update(items=items, check=check, ctx=ctx)
+    _WORKER.update(items=items, check=check, ctx=ctx, direct=LiftEngine(ctx))
     try:
         if len(chunks) > 1:
             # check one item so the engine tables are built before forking

@@ -102,10 +102,10 @@ def test_gr3_recipe_matches_lift_on_every_ordered_pair():
     # product_directed is uncached and expands its right factor, so both
     # orders run the recipe against the other factor
     ctx = context(3, 6)
-    g3 = Gr3Engine(ctx)
+    g3, lf = Gr3Engine(ctx), LiftEngine(ctx)
     for lam in all_partitions(ctx):
         for mu in all_partitions(ctx):
-            want = LiftEngine(ctx).product_basis(lam, mu)
+            want = lf.product_via_column(lam, mu)
             assert g3.product_directed(lam, mu) == want, (lam, mu)
     assert not g3._elements
 
@@ -147,7 +147,7 @@ def test_engines_agree(n):
     parts = all_partitions(ctx)
     for i, lam in enumerate(parts):
         for mu in parts[i:]:
-            assert g3.product_basis(lam, mu) == lf.product_basis(lam, mu), (lam, mu)
+            assert g3.product_basis(lam, mu) == lf.product_via_column(lam, mu), (lam, mu)
 
 
 def test_lift_pieri_rows_are_pieri():
@@ -442,8 +442,9 @@ def test_orbit_table_solves_representative_pairs_only():
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_orbit_table_rejects_a_corrupt_representative_product(flags):
-    # O^(1,0) * O^(0,0) in Gr(2,5), corrupted at q^trunc (shifts push it
-    # past trunc) and at q^-1; the range check must survive python -O
+    # O^(2,0) * O^(0,0) in Gr(2,5), the product of the fewest-row members
+    # of two orbits, corrupted at q^trunc (shifts push it past trunc) and
+    # at q^-1; the range check must survive python -O
     script = (
         "from qkgr.element import QKElement\n"
         "from qkgr.partitions import context\n"
@@ -451,8 +452,8 @@ def test_orbit_table_rejects_a_corrupt_representative_product(flags):
         "ctx = context(2, 5)\n"
         "for deg in (ctx.trunc, -1):\n"
         "    table = giambelli_lift_general(ctx)\n"
-        "    table.engine.product_basis((1, 0), (0, 0))\n"
-        "    table.engine._elements[(1, 0), (0, 0)] = QKElement.basis((1, 0), deg)\n"
+        "    table.engine.product_basis((2, 0), (0, 0))\n"
+        "    table.engine._elements[(2, 0), (0, 0)] = QKElement.basis((2, 0), deg)\n"
         "    try:\n"
         "        list(table.entries())\n"
         "    except ArithmeticError as exc:\n"

@@ -179,6 +179,21 @@ def test_reductions_report_the_first_broken_rewrite(monkeypatch, jobs):
     assert rep["first_failure"] == "deg-one broke (0, 0),(0, 0),(0, 0),q^1: 0 -> 1"
 
 
+@pytest.mark.parametrize("suite, k, n", [("seidel", 2, 5), ("seidel", 4, 7), ("dmin", 3, 6)])
+def test_shift_checks_run_the_lift(monkeypatch, suite, k, n):
+    # a lift whose Pieri steps lose their q-terms is wrong on these rings.
+    # The shifting product_basis solves O^(1^k) * O^lam as the unit in lam's
+    # column, which applies no Pieri step, and for k = 3 ctx.engine is the
+    # recipe; only the unshifted lift of each run can see the break
+    pieri = LiftEngine._apply_pieri
+
+    def classical(self, i, vec):
+        return {t: c for t, c in pieri(self, i, vec).items() if t < self._stride}
+
+    monkeypatch.setattr(LiftEngine, "_apply_pieri", classical)
+    assert run_suite(suite, k, n)["failures"] > 0
+
+
 def test_context_is_one_object_per_ring():
     assert context(3, 8) is context(3, 8)
     assert context(3, 8) is context(3, 8, None) is context(3, 8, 4) is context(3, 8, trunc=4)
