@@ -65,11 +65,12 @@ class GrContext:
 
     @property
     def engine(self):
-        """The default product engine: the Giambelli path for k = 3, else the lift."""
+        """The ring's ``LiftEngine``, for every k; its product cache is
+        shared by every caller of ``product_basis`` on this ring."""
         if self._engine is None:
-            from .qk_engine import Gr3Engine, LiftEngine
+            from .qk_engine import LiftEngine
 
-            object.__setattr__(self, "_engine", Gr3Engine(self) if self.k == 3 else LiftEngine(self))
+            object.__setattr__(self, "_engine", LiftEngine(self))
         return self._engine
 
 

@@ -1,41 +1,44 @@
 """Product engines for QK(Gr(k, n)).
 
-Two independent routes compute quantum products of Schubert classes:
+Every product goes through the paper's Seidel representation.  Each Z/n
+orbit of T has one representative: the member with the fewest nonzero
+rows, then the largest, then the least as a tuple.  With
+T^a O^lam = q^(d_a) O^rho and T^b O^mu = q^(d_b) O^sigma for the
+representatives rho and sigma,
 
-* ``Gr3Engine`` (k = 3 only): strip both third rows, expand one stripped
-  factor through the two-row Giambelli recipe into quantum Pieri operators,
-  and shift the result back with powers of the Seidel operator T.  Its one
-  product cache holds the stripped pairs too, so a pair with a third row
-  is a T-shift of a cached entry.
+    O^lam * O^mu = q^(d_a + d_b) T^(-a-b) (O^rho * O^sigma),
 
-* ``LiftEngine`` (any k): a lift of the classical Giambelli expansion.
-  Monomials in the special classes, applied smallest part first, expand at
-  the unit as the target Schubert class plus strictly larger terms in the
-  (size, lex) basis order.  Evaluating every monomial against a fixed right
-  factor therefore pins down that column of the multiplication table by
-  one classical back-substitution.
+so ``LiftEngine`` solves only products of two representatives, each once,
+and shifts.  ``LiftEngine._rep`` holds that rule; ``product_basis`` and
+``MultiplicationTable.entries`` both read it through
+``LiftEngine.shifted``.  ``GrContext.engine`` is a ``LiftEngine`` for
+every k.
 
-  The expansions at the unit are q-free.  A monomial applies at most k
-  special classes to O^(0), and each Pieri step adds a horizontal strip, so
-  it makes at most one more row nonzero.  The q-part of O^i * O^lam needs
-  lam to have all k rows nonzero already, so no step of such a monomial can
-  produce one.  ``LiftEngine.monomial_expansion`` checks this on every
-  expansion it builds rather than assuming it.
+``LiftEngine`` is a lift of the classical Giambelli expansion.  Monomials
+in the special classes, applied smallest part first, expand at the unit
+as the target Schubert class plus strictly larger terms in the (size, lex)
+basis order.  Evaluating every monomial against a fixed right factor
+therefore pins down that column of the multiplication table by one
+classical back-substitution.
 
-Both engines agree entrywise wherever both apply (tested), and either one
-serves as the brute-force oracle for the closed-form rules.
+The expansions at the unit are q-free.  A monomial applies at most k
+special classes to O^(0), and each Pieri step adds a horizontal strip, so
+it makes at most one more row nonzero.  The q-part of O^i * O^lam needs
+lam to have all k rows nonzero already, so no step of such a monomial can
+produce one.  ``LiftEngine.monomial_expansion`` checks this on every
+expansion it builds rather than assuming it.
 
-A full table uses the paper's Seidel representation instead of solving
-every pair.  With T^a O^lam = q^(d_a) O^rho and T^b O^mu = q^(d_b) O^sigma,
-``O^lam * O^mu = q^(d_a + d_b) T^(-a-b) (O^rho * O^sigma)``, so
-``MultiplicationTable.entries`` asks the engine only for products of
-Z/n-orbit representatives and shifts them.  ``LiftEngine.product_basis``
-uses the same representation for one pair: it solves the fewest-row member
-of either factor's orbit and shifts back.  One rule, ``_fewest_rows``,
-picks the member in both places, so a representative pair needs no shift.
-``LiftEngine.product_via_column`` solves its pair as typed, with no shift;
-it is the independent oracle the shifted products, the orbit tables and
-the ``seidel`` and ``dmin`` sweeps are checked against.
+Two oracles share no shift with the default path:
+
+* ``LiftEngine.product_via_column`` solves its pair as typed, with no
+  shift.  The shifted products, the orbit tables and the ``seidel`` and
+  ``dmin`` sweeps are checked against it.
+* ``Gr3Engine`` (k = 3 only), uncached: strip both third rows, expand the
+  stripped right factor through the two-row Giambelli recipe into quantum
+  Pieri operators, and shift back by T^(lam_3 + mu_3).
+
+All three agree entrywise wherever they apply (tested), and each serves
+as a brute-force oracle for the closed-form rules.
 """
 
 from __future__ import annotations
@@ -59,16 +62,9 @@ def _zero(ctx: GrContext):
     return (0,) * ctx.k
 
 
-def _fewest_rows(p, ctx: GrContext) -> tuple:
-    """(rows, -size, rho, r, d): the member rho = p up r of p's Seidel orbit,
-    T^r O^p = q^d O^rho, with the fewest nonzero rows, then the largest,
-    then the least as a tuple, then the smallest r.  Every member of one
-    orbit picks the same rho; the first two fields rank it against the
-    choice from another orbit."""
-    return min(
-        (len(rho) - rho.count(0), -sum(rho), rho, r, d)
-        for r, (d, rho) in enumerate(seidel_orbit(p, ctx))
-    )
+def _rank(p) -> tuple:
+    """Fewest nonzero rows, then the largest: the cheaper Giambelli row."""
+    return (len(p) - p.count(0), -sum(p))
 
 
 def _strip_third_row(lam):
@@ -95,7 +91,8 @@ class LiftEngine:
         self._closures = {}  # id -> frozenset of ids
         self._mono = {}  # column id -> {id: monomial value on that column}
         self._columns = {}  # column id -> {id: solved product vector}
-        self._elements = {}
+        self._reps = {}  # partition -> (rho, a, d_a), see _rep
+        self._elements = {}  # (lam, mu) with lam >= mu -> O^lam * O^mu
         self._intern(_zero(ctx))
 
     def _intern(self, lam) -> int:
@@ -226,33 +223,52 @@ class LiftEngine:
         rid, mid = self._intern(row), self._intern(col)
         return self._element(self._solve_column(mid, rid)[rid])
 
-    def product_basis(self, lam, mu) -> QKElement:
-        """O^lam * O^mu through the cheapest Seidel shift of either factor.
+    def _rep(self, lam) -> tuple:
+        """(rho, a, d_a) with T^a O^lam = q^(d_a) O^rho, rho the member of
+        lam's Seidel orbit of least ``_rank``, then the least as a tuple.
+        The first call on an orbit walks it once and fills every member; a
+        representative maps to itself."""
+        got = self._reps.get(lam)
+        if got is None:
+            orbit = seidel_orbit(lam, self.ctx)
+            _, rho, j, dj = min((_rank(p), p, r, d) for r, (d, p) in enumerate(orbit))
+            for i, (di, p) in enumerate(orbit):
+                # T^i O^lam = q^di O^p and T^j O^lam = q^dj O^rho
+                self._reps.setdefault(p, (rho, j - i, dj - di))
+            got = self._reps[lam]
+        return got
 
-        T^r O^p = q^(d_r) O^(p up r), so O^p * O^c = q^(d_r) T^(-r) (O^rho * O^c)
-        with rho = p up r.  Of the 2n members rho of the two factors'
-        orbits, each against the other factor c as column, the one with the
-        fewest nonzero rows, then the largest, is solved: its monomial has
-        l(rho) Pieri factors and its closure lies above rho in basis order.
-        Ties go to lam's orbit; ``_fewest_rows`` breaks them within an
-        orbit.  A rectangle's orbit holds (0), so its product is the unit
-        solved in the other column.
+    def shifted(self, lam, mu) -> QKElement:
+        """O^lam * O^mu, unvalidated, as q^(d_a + d_b) T^(-a-b) (O^rho * O^sigma).
+
+        The representatives' product is solved once, with the one of lower
+        ``_rank`` as the Giambelli row: its monomial has one Pieri factor
+        per nonzero row, and its closure lies above it in basis order.  A
+        rectangle's representative is (0), so its product is the unit
+        solved in the other column.  Raises ArithmeticError if a shifted
+        q-power leaves 0..trunc.
         """
+        rho, a, da = self._rep(lam)
+        sigma, b, db = self._rep(mu)
+        key = (rho, sigma) if rho >= sigma else (sigma, rho)
+        got = self._elements.get(key)
+        if got is None:
+            row, col = sorted(key, key=_rank)
+            rid, mid = self._intern(row), self._intern(col)
+            got = self._elements[key] = self._element(self._solve_column(mid, rid)[rid])
+        if a + b or da + db:
+            got = _shift_terms(got, -a - b, da + db, self.ctx)
+        return got
+
+    def product_basis(self, lam, mu) -> QKElement:
+        """O^lam * O^mu, validated and cached by the unordered pair."""
         key = (lam, mu) if lam >= mu else (mu, lam)
         got = self._elements.get(key)
-        if got is not None:
-            return got
-        ctx = self.ctx
-        validate(lam, ctx)
-        validate(mu, ctx)
-        a, b = _fewest_rows(lam, ctx), _fewest_rows(mu, ctx)
-        (_, _, rho, r, d), col = (a, mu) if a[:2] <= b[:2] else (b, lam)
-        rid, mid = self._intern(rho), self._intern(col)
-        elem = self._element(self._solve_column(mid, rid)[rid])
-        if r:
-            elem = _shift_terms(elem, -r, d, ctx)
-        self._elements[key] = elem
-        return elem
+        if got is None:
+            validate(lam, self.ctx)
+            validate(mu, self.ctx)
+            got = self._elements[key] = self.shifted(lam, mu)
+        return got
 
     def check_unit_column(self) -> None:
         """Verify that the kernel, solving the unit column, returns O^lam
@@ -287,20 +303,18 @@ def giambelli_gr3(mu, ctx: GrContext) -> list[tuple[int, tuple]]:
 
 
 class Gr3Engine:
-    """Multiplication in QK(Gr(3, n)) via third-row reduction and Giambelli.
+    """Multiplication in QK(Gr(3, n)) via third-row reduction and Giambelli,
+    uncached: the k = 3 oracle for ``LiftEngine``.
 
     Stripping lam_3 from every row of lam is T^(-lam_3) with no q-power, so
     O^lam * O^mu = T^(lam_3 + mu_3) (O^lam' * O^mu') with lam', mu' the
-    stripped shapes.  ``product_basis`` keeps one symmetric cache: a pair
-    with a third row shifts its stripped pair, read from that same cache,
-    and a stripped pair runs the recipe once.
+    stripped shapes.
     """
 
     def __init__(self, ctx: GrContext):
         if ctx.k != 3:
             raise ValueError("Gr3Engine needs k = 3")
         self.ctx = ctx
-        self._elements = {}
 
     def _recipe(self, base, rec) -> QKElement:
         """O^base * O^rec for two stripped shapes: rec's Giambelli recipe
@@ -323,29 +337,13 @@ class Gr3Engine:
                 out[key] = out.get(key, 0) + sign * c
         return QKElement(out)
 
-    def product_directed(self, lam, mu) -> QKElement:
+    def product_basis(self, lam, mu) -> QKElement:
         """O^lam * O^mu with mu expanded through the recipe, uncached."""
         ctx = self.ctx
         validate(lam, ctx)
         validate(mu, ctx)
         elem = self._recipe(_strip_third_row(lam), _strip_third_row(mu))
         return apply_t_power(elem, lam[2] + mu[2], ctx)
-
-    def product_basis(self, lam, mu) -> QKElement:
-        key = (lam, mu) if lam >= mu else (mu, lam)
-        got = self._elements.get(key)
-        if got is None:
-            ctx = self.ctx
-            validate(lam, ctx)
-            validate(mu, ctx)
-            s = lam[2] + mu[2]
-            if s:
-                stripped = self.product_basis(_strip_third_row(lam), _strip_third_row(mu))
-                got = apply_t_power(stripped, s, ctx)
-            else:
-                got = self._recipe(key[1], key[0])
-            self._elements[key] = got
-        return got
 
 
 def product_basis(lam, mu, ctx: GrContext) -> QKElement:
@@ -431,20 +429,11 @@ def verify_recursion(lam, mu, nu, d: int, ctx: GrContext) -> bool:
 class MultiplicationTable:
     """The full basis-product table for one ring, deterministically ordered.
 
-    ``entries`` reads the table off the Seidel orbits, by the paper's Seidel
-    representation.  Write T^a O^lam = q^(d_a) O^rho, where rho is the
-    member of lam's orbit that ``_fewest_rows`` picks, the one
-    ``LiftEngine.product_basis`` would solve, and likewise
-    T^b O^mu = q^(d_b) O^sigma.  Then
-
-        O^lam * O^mu = q^(d_a + d_b) T^(-a-b) (O^rho * O^sigma),
-
-    so the engine solves only the R(R+1)/2 products of the R orbit
-    representatives, each with no further shift, in its own cache, and
-    every other entry is one shift.
-    ``product`` asks the engine for its one pair;
-    ``LiftEngine.product_via_column``, which never shifts, is the
-    independent oracle for the table.
+    ``entries`` asks the engine's ``shifted`` for every pair, so by the
+    paper's Seidel representation the engine solves only the R(R+1)/2
+    products of the R orbit representatives, each once, and every other
+    entry is one shift.  ``LiftEngine.product_via_column``,
+    which never shifts, is the independent oracle for the table.
     """
 
     def __init__(self, ctx: GrContext, eng=None):
@@ -452,26 +441,14 @@ class MultiplicationTable:
         self.engine = eng if eng is not None else ctx.engine
         self.basis = ctx.basis
 
-    def product(self, lam, mu) -> QKElement:
-        return self.engine.product_basis(lam, mu)
-
     def entries(self):
         """All (lam, mu, QKElement) with lam <= mu in basis order, each
         shifted from its representatives' product.  Raises ArithmeticError
         if a shifted q-power leaves 0..trunc."""
-        ctx, basis, prod = self.ctx, self.basis, self.engine.product_basis
-        reps = {}  # lam -> (rho, a, d_a), read off one orbit per representative
-        for lam in basis:
-            if lam not in reps:
-                _, _, rho, j, dj = _fewest_rows(lam, ctx)
-                for i, (di, p) in enumerate(seidel_orbit(lam, ctx)):
-                    # T^i O^lam = q^di O^p and T^j O^lam = q^dj O^rho
-                    reps.setdefault(p, (rho, j - i, dj - di))
+        basis, shifted = self.basis, self.engine.shifted
         for i, lam in enumerate(basis):
-            rho, a, da = reps[lam]
             for mu in basis[i:]:
-                sigma, b, db = reps[mu]
-                yield lam, mu, _shift_terms(prod(rho, sigma), -a - b, da + db, ctx)
+                yield lam, mu, shifted(lam, mu)
 
     def max_q_degree(self) -> int:
         """Largest q-degree observed across the table."""

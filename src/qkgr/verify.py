@@ -130,7 +130,7 @@ def _rewrites(lam, mu, nu, d, ctx):
         yield f"lemred-{variant}", reduce_lemred(lam, mu, nu, d, variant, ctx, i=1)
     yield "duality", duality(lam, mu, nu, d, ctx)
     yield "deg-one", reduce_deg_one(lam, mu, nu, d, ctx)
-    for s in range(2, d + 1):
+    for s in range(2, min(d, ctx.k) + 1):  # reduce_higher needs s <= k
         yield f"higher-{s}", reduce_higher(lam, mu, nu, d, s, ctx)
     yield "dual-shift", reduce_dual_shift(lam, mu, nu, d, ctx)
     if ctx.k == 3:

@@ -31,7 +31,6 @@ from qkgr.qk_engine import (
     verify_recursion,
 )
 from qkgr.seidel import d_min
-from qkgr.verify import run_suite
 
 C24 = context(2, 4)
 C36 = context(3, 6)
@@ -90,24 +89,15 @@ def test_giambelli_recipe_reproduces_basis(n):
         assert got == QKElement.basis(mu), mu
 
 
-def test_gr3_engine_keeps_one_product_cache():
-    # a pair with a third row reads its stripped pair from the same cache
-    run_suite("gr3n-rule", 3, 8)
-    eng = context(3, 8).engine
-    caches = {name: len(v) for name, v in vars(eng).items() if isinstance(v, dict)}
-    assert caches == {"_elements": 1596}
-
-
 def test_gr3_recipe_matches_lift_on_every_ordered_pair():
-    # product_directed is uncached and expands its right factor, so both
-    # orders run the recipe against the other factor
+    # Gr3Engine is uncached and expands its right factor, so both orders
+    # run the recipe against the other factor
     ctx = context(3, 6)
     g3, lf = Gr3Engine(ctx), LiftEngine(ctx)
     for lam in all_partitions(ctx):
         for mu in all_partitions(ctx):
             want = lf.product_via_column(lam, mu)
-            assert g3.product_directed(lam, mu) == want, (lam, mu)
-    assert not g3._elements
+            assert g3.product_basis(lam, mu) == want, (lam, mu)
 
 
 def test_reduce_third_row():
@@ -161,15 +151,6 @@ def test_lift_pieri_rows_are_pieri():
                 got = lf.product_via_column(row, mu)
                 assert got == quantum_pieri(mu, i, ctx).truncated(ctx.trunc)
                 assert ctx.engine.product_basis(row, mu) == got
-
-
-def test_product_symmetric():
-    ctx = context(2, 5)
-    lf = ctx.engine
-    parts = all_partitions(ctx)
-    for lam in parts:
-        for mu in parts:
-            assert lf.product_basis(lam, mu) == lf.product_basis(mu, lam)
 
 
 def test_product_bilinear():
@@ -243,7 +224,7 @@ def test_truncation_stabilization():
             t1 = giambelli_lift_general(base)
             t2 = giambelli_lift_general(wide)
             for lam, mu, elem in t1.entries():
-                assert t2.product(lam, mu) == elem, (kk, nn, lam, mu)
+                assert t2.engine.product_basis(lam, mu) == elem, (kk, nn, lam, mu)
             assert t2.max_q_degree() == min(kk, nn - kk), (kk, nn)
 
 
@@ -265,7 +246,7 @@ def test_operator_columns():
     table = MultiplicationTable(C24)
     for mu in table.basis:
         d, p = seidel_power(mu, 1, C24)
-        assert table.product((1, 1), mu) == QKElement.basis(p, d)
+        assert table.engine.product_basis((1, 1), mu) == QKElement.basis(p, d)
 
 
 def test_element_json_roundtrip():
@@ -395,12 +376,20 @@ def test_orbit_tables_match_direct_products():
 
 @pytest.mark.parametrize(
     "kk, nn, trunc, sample",
-    [(2, 6, None, None), (4, 8, None, None), (4, 8, 6, None), (5, 10, None, 200)],
+    [
+        (2, 6, None, None),
+        (3, 8, None, None),
+        (3, 8, 6, None),
+        (4, 8, None, None),
+        (4, 8, 6, None),
+        (5, 10, None, 200),
+    ],
 )
 def test_shifted_products_match_direct_solves(kk, nn, trunc, sample):
-    # product_basis solves a Seidel shift of one factor and shifts back; a
-    # fresh engine solving each pair as typed is the oracle.  At trunc = 6 a
-    # shift that left 0..trunc would raise or lose a term
+    # product_basis solves the product of the two factors' orbit
+    # representatives and shifts back; a fresh engine solving each pair as
+    # typed is the oracle, and for k = 3 so is the Giambelli recipe.  At
+    # trunc = 6 a shift that left 0..trunc would raise or lose a term
     ctx = context(kk, nn, trunc)
     parts = ctx.basis
     if sample is None:
@@ -409,8 +398,12 @@ def test_shifted_products_match_direct_solves(kk, nn, trunc, sample):
         rng = random.Random(12)
         pairs = [(rng.choice(parts), rng.choice(parts)) for _ in range(sample)]
     shifted, direct = LiftEngine(ctx), LiftEngine(ctx)
+    gr3 = Gr3Engine(ctx) if kk == 3 else None
     for lam, mu in pairs:
-        assert shifted.product_basis(lam, mu) == direct.product_via_column(lam, mu), (lam, mu)
+        got = shifted.product_basis(lam, mu)
+        assert got == direct.product_via_column(lam, mu), (lam, mu)
+        if gr3 is not None:
+            assert got == gr3.product_basis(lam, mu), (lam, mu)
 
 
 @pytest.mark.parametrize(
@@ -490,4 +483,4 @@ def test_table_dump_is_spelled_as_json_dumps():
             assert line == json.dumps(rec, separators=(",", ":"))
             want = {"lhs": list(lam), "rhs": list(mu), "terms": elem.to_obj()["terms"]}
             assert line == json.dumps(want, separators=(",", ":"))
-            assert QKElement.from_obj(rec) == elem == table.product(lam, mu)
+            assert QKElement.from_obj(rec) == elem == table.engine.product_basis(lam, mu)

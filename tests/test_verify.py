@@ -11,7 +11,7 @@ import pytest
 
 import qkgr
 from qkgr.partitions import GrContext, all_partitions, context, validate
-from qkgr.qk_engine import Gr3Engine, LiftEngine
+from qkgr.qk_engine import LiftEngine
 from qkgr.verify import SUITE_NAMES, _chunks, _prepare, run_suite
 
 
@@ -201,7 +201,7 @@ def test_context_is_one_object_per_ring():
     for k, n in [(2, 5), (3, 6), (4, 8)]:
         eng = context(k, n).engine
         assert eng is context(k, n).engine
-        assert type(eng) is (Gr3Engine if k == 3 else LiftEngine)
+        assert type(eng) is LiftEngine
     for _ in range(2):
         with pytest.raises(ValueError):
             context(3, 3)
