@@ -14,19 +14,22 @@ and shifts.  ``LiftEngine._rep`` holds that rule; ``product_basis`` and
 ``LiftEngine.shifted``.  ``GrContext.engine`` is a ``LiftEngine`` for
 every k.
 
-``LiftEngine`` is a lift of the classical Giambelli expansion.  Monomials
-in the special classes, applied smallest part first, expand at the unit
-as the target Schubert class plus strictly larger terms in the (size, lex)
-basis order.  Evaluating every monomial against a fixed right factor
-therefore pins down that column of the multiplication table by one
-classical back-substitution.
+``LiftEngine`` solves one column O^mu of the multiplication table by one
+quantum Pieri step per class (Buch-Mihalcea).  With
+tail rho = (rho_2, ..., rho_k, 0),
 
-The expansions at the unit are q-free.  A monomial applies at most k
-special classes to O^(0), and each Pieri step adds a horizontal strip, so
-it makes at most one more row nonzero.  The q-part of O^i * O^lam needs
-lam to have all k rows nonzero already, so no step of such a monomial can
-produce one.  ``LiftEngine.monomial_expansion`` checks this on every
-expansion it builds rather than assuming it.
+    O^(rho_1) * O^(tail rho) = O^rho + sum a_c O^c
+
+at the unit, so X[rho] = O^rho * O^mu satisfies X[0] = O^mu and
+
+    X[rho] = O^(rho_1) * X[tail rho] - sum a_c X[c].
+
+The step is q-free: the q-part of O^i * O^lam needs all k rows of lam
+nonzero, and the tail's last row is empty.  Every c is a horizontal strip
+over the tail of size at least rho_1, so c lies above rho in the (size,
+lex) basis order and has no more nonzero rows than rho.
+``LiftEngine._step`` checks all of this on every step it builds rather
+than assuming it.
 
 Two oracles share no shift with the default path:
 
@@ -55,7 +58,7 @@ from .partitions import (
     validate,
 )
 from .pieri import apply_terms, quantum_terms
-from .seidel import _shift_terms, apply_t_power
+from .seidel import _shift_terms
 
 
 def _zero(ctx: GrContext):
@@ -63,7 +66,9 @@ def _zero(ctx: GrContext):
 
 
 def _rank(p) -> tuple:
-    """Fewest nonzero rows, then the largest: the cheaper Giambelli row."""
+    """Fewest nonzero rows, then the largest: the cheaper row to solve.
+    Solving row rho reads only classes with fewer nonzero rows, or as
+    many and a larger basis key (see ``LiftEngine._solve_column``)."""
     return (len(p) - p.count(0), -sum(p))
 
 
@@ -72,7 +77,7 @@ def _strip_third_row(lam):
 
 
 class LiftEngine:
-    """Multiplication via the Giambelli lift; see module docstring.
+    """Multiplication by one quantum Pieri step per class; see module docstring.
 
     Internally a partition is an integer id, handed out the first time the
     engine meets the partition, so one product never enumerates the ring.
@@ -85,11 +90,8 @@ class LiftEngine:
         self._stride = comb(ctx.n, ctx.k)
         self._ids = {}  # partition -> id
         self._parts = []  # id -> partition
-        self._keys = []  # id -> basis_key
         self._rows = {}  # Pieri index i -> {vector key: ((key, coeff), ...)}
-        self._expansions = {}  # id -> ((id, coeff), ...), diagonal left out
-        self._closures = {}  # id -> frozenset of ids
-        self._mono = {}  # column id -> {id: monomial value on that column}
+        self._steps = {}  # id -> (tail id, ((id, coeff), ...)), diagonal left out
         self._columns = {}  # column id -> {id: solved product vector}
         self._reps = {}  # partition -> (rho, a, d_a), see _rep
         self._elements = {}  # (lam, mu) with lam >= mu -> O^lam * O^mu
@@ -100,7 +102,6 @@ class LiftEngine:
         if got is None:
             got = self._ids[lam] = len(self._parts)
             self._parts.append(lam)
-            self._keys.append(basis_key(lam))
         return got
 
     def _row(self, i: int, key: int) -> tuple:
@@ -128,83 +129,55 @@ class LiftEngine:
                 out[tgt] = get(tgt, 0) + c * c2
         return {t: v for t, v in out.items() if v}
 
-    def _mono_value(self, rid: int, cache: dict) -> dict:
-        """The monomial of special classes indexed by rho, applied to the
-        column class; ``cache`` holds that column's values and is seeded
-        with the column class itself under id 0."""
-        got = cache.get(rid)
-        if got is None:
-            rho = self._parts[rid]
-            tail = self._mono_value(self._intern(rho[1:] + (0,)), cache)
-            got = cache[rid] = self._apply_pieri(rho[0], tail)
-        return got
-
-    def _column_cache(self, mid: int) -> dict:
-        cache = self._mono.get(mid)
-        if cache is None:
-            cache = self._mono[mid] = {0: {mid: 1}}
-        return cache
-
-    def _expansion(self, rid: int) -> tuple:
-        """The off-diagonal part of the rho-monomial at the unit, checked."""
-        got = self._expansions.get(rid)
+    def _step(self, rid: int) -> tuple:
+        """(tail id, off-diagonal terms) of O^(rho_1) * O^(tail rho) at the
+        unit, checked: q-free, 1 on rho, every other class above rho in
+        basis order with at most as many nonzero rows."""
+        got = self._steps.get(rid)
         if got is not None:
             return got
-        val = self._mono_value(rid, self._column_cache(0))
         rho = self._parts[rid]
-        if val.get(rid) != 1:
-            raise ArithmeticError(f"monomial expansion not unital at {rho}")
-        keys, stride = self._keys, self._stride
-        if any(b >= stride for b in val):
-            raise ArithmeticError(f"monomial expansion carries a q-term at {rho}")
-        rk = keys[rid]
-        if any(keys[b] <= rk for b in val if b != rid):
-            raise ArithmeticError(f"monomial expansion not triangular at {rho}")
-        got = self._expansions[rid] = tuple((b, a) for b, a in val.items() if b != rid)
-        return got
-
-    def monomial_expansion(self, rho) -> dict:
-        """Expansion of the rho-monomial value at the unit class.
-
-        It is unitriangular and q-free: coefficient 1 on O^rho, support
-        only on strictly larger partitions in basis order, every term at
-        q^0.  Raises ArithmeticError if any of that fails.
-        """
-        rid = self._intern(rho)
-        out = {(self._parts[b], 0): a for b, a in self._expansion(rid)}
-        out[(rho, 0)] = 1
-        return out
-
-    def _closure(self, rid: int) -> frozenset:
-        got = self._closures.get(rid)
-        if got is not None:
-            return got
-        seen = {rid}
-        stack = [rid]
-        while stack:
-            for b, _ in self._expansion(stack.pop()):
-                if b not in seen:
-                    seen.add(b)
-                    stack.append(b)
-        got = self._closures[rid] = frozenset(seen)
+        tid = self._intern(rho[1:] + (0,))
+        row = self._row(rho[0], tid)
+        if dict(row).get(rid) != 1:
+            raise ArithmeticError(f"Pieri step not unital at {rho}")
+        if any(c >= self._stride for c, _ in row):
+            raise ArithmeticError(f"Pieri step carries a q-term at {rho}")
+        terms = tuple((c, a) for c, a in row if c != rid)
+        rows, key = _rank(rho)[0], basis_key(rho)
+        for c, _ in terms:
+            nu = self._parts[c]
+            if basis_key(nu) <= key or _rank(nu)[0] > rows:
+                raise ArithmeticError(f"Pieri step not triangular at {rho}")
+        got = self._steps[rid] = (tid, terms)
         return got
 
     def _solve_column(self, mid: int, rid: int) -> dict:
         """Ensure O^rho * O^mu is solved inside the mu-column.
 
-        One pass over the closure of rho in descending basis order:
-        X[b] = W[b] - sum a_c X[c], where W[b] is the b-monomial applied to
-        O^mu and a_c its expansion coefficients, all on larger c.
+        X[0] = O^mu, and X[b] = O^(b_1) * X[tail b] - sum a_c X[c] for the
+        off-diagonal terms a_c O^c of b's step.  The tail has fewer nonzero
+        rows than b, and each c at most as many and a larger basis key, so
+        a depth-first walk solves every class after the classes it reads.
         """
-        col = self._columns.setdefault(mid, {})
-        if rid in col:
-            return col
-        todo = self._closure(rid).difference(col)
-        cache = self._column_cache(mid)
-        for b in sorted(todo, key=self._keys.__getitem__, reverse=True):
-            x = dict(self._mono_value(b, cache))
+        col = self._columns.get(mid)
+        if col is None:
+            col = self._columns[mid] = {0: {mid: 1}}
+        stack = [rid]
+        while stack:
+            b = stack[-1]
+            if b in col:
+                stack.pop()
+                continue
+            tid, terms = self._step(b)
+            todo = [c for c in (tid, *(c for c, _ in terms)) if c not in col]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            x = self._apply_pieri(self._parts[b][0], col[tid])
             get = x.get
-            for c, a in self._expansion(b):
+            for c, a in terms:
                 for tgt, v in col[c].items():
                     x[tgt] = get(tgt, 0) - a * v
             col[b] = {t: v for t, v in x.items() if v}
@@ -242,8 +215,7 @@ class LiftEngine:
         """O^lam * O^mu, unvalidated, as q^(d_a + d_b) T^(-a-b) (O^rho * O^sigma).
 
         The representatives' product is solved once, with the one of lower
-        ``_rank`` as the Giambelli row: its monomial has one Pieri factor
-        per nonzero row, and its closure lies above it in basis order.  A
+        ``_rank`` as the row, the one whose walk reads fewer classes.  A
         rectangle's representative is (0), so its product is the unit
         solved in the other column.  Raises ArithmeticError if a shifted
         q-power leaves 0..trunc.
@@ -272,7 +244,7 @@ class LiftEngine:
 
     def check_unit_column(self) -> None:
         """Verify that the kernel, solving the unit column, returns O^lam
-        for every lam: the back-substitution must undo the expansions."""
+        for every lam: each step's correction must cancel its other terms."""
         zero = _zero(self.ctx)
         for lam in self.ctx.basis:
             got = self.product_via_column(lam, zero)
@@ -343,7 +315,7 @@ class Gr3Engine:
         validate(lam, ctx)
         validate(mu, ctx)
         elem = self._recipe(_strip_third_row(lam), _strip_third_row(mu))
-        return apply_t_power(elem, lam[2] + mu[2], ctx)
+        return _shift_terms(elem, lam[2] + mu[2], 0, ctx)
 
 
 def product_basis(lam, mu, ctx: GrContext) -> QKElement:
@@ -427,7 +399,8 @@ def verify_recursion(lam, mu, nu, d: int, ctx: GrContext) -> bool:
 
 
 class MultiplicationTable:
-    """The full basis-product table for one ring, deterministically ordered.
+    """The full basis-product table for one ring over the engine it is
+    given, deterministically ordered; ``giambelli_lift_general`` builds it.
 
     ``entries`` asks the engine's ``shifted`` for every pair, so by the
     paper's Seidel representation the engine solves only the R(R+1)/2
@@ -436,9 +409,9 @@ class MultiplicationTable:
     which never shifts, is the independent oracle for the table.
     """
 
-    def __init__(self, ctx: GrContext, eng=None):
+    def __init__(self, ctx: GrContext, eng):
         self.ctx = ctx
-        self.engine = eng if eng is not None else ctx.engine
+        self.engine = eng
         self.basis = ctx.basis
 
     def entries(self):

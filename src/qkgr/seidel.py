@@ -51,13 +51,6 @@ def H(elem: QKElement, ctx: GrContext) -> QKElement:
     return _shift_terms(elem, -1, 1, ctx)
 
 
-def apply_t_power(elem: QKElement, r: int, ctx: GrContext) -> QKElement:
-    """T^r applied linearly, raising on q-truncation overflow."""
-    if r < 0:
-        raise ValueError("negative Seidel power")
-    return _shift_terms(elem, r, 0, ctx)
-
-
 def d_min(lam, mu, ctx: GrContext) -> tuple[int, int]:
     """Smallest q-power in O^lam * O^mu and the smallest shift achieving it.
 

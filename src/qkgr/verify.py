@@ -23,6 +23,7 @@ from .partitions import all_partitions, context, dual, seidel_power, seidel_up
 from .pieri import classical_pieri, quantum_pieri, quantum_pieri_restated
 from .qk_engine import (
     LiftEngine,
+    _rank,
     _strip_third_row,
     product_basis,
     reduce_third_row,
@@ -110,9 +111,9 @@ def _check_gr3n_rule(pair, ctx):
 def _check_dmin(pair, ctx):
     lam, mu = pair
     d, r = d_min(lam, mu, ctx)
-    # unshifted, with the factor of fewer nonzero rows solved as the row:
-    # its Giambelli monomial is shorter, the cheaper of the two direct solves
-    row, col = sorted((lam, mu), key=lambda p: len(p) - p.count(0))
+    # unshifted, with the factor of lower _rank solved as the row: the
+    # cheaper of the two direct solves
+    row, col = sorted((lam, mu), key=_rank)
     prod = _WORKER["direct"].product_via_column(row, col)
     if prod.min_q() != d:
         return (1, f"d_min {d} != smallest power {prod.min_q()} at {lam},{mu}")
@@ -280,9 +281,11 @@ def _prepare(name, k, n, trunc, sample, seed):
 def _chunks(total: int, jobs: int) -> list[tuple[int, int]]:
     """Contiguous (lo, hi) bounds covering range(total), one per worker.
 
-    Workers are capped at the CPUs this process may run on.
+    Workers are capped at the CPUs this process may run on, or at the CPU
+    count where the platform cannot tell (macOS has no sched_getaffinity).
     """
-    jobs = min(jobs, len(os.sched_getaffinity(0)))
+    affinity = getattr(os, "sched_getaffinity", None)
+    jobs = min(jobs, len(affinity(0)) if affinity else os.cpu_count() or 1)
     if jobs <= 1 or total <= 1:
         return [(0, total)]
     step = (total + jobs - 1) // jobs

@@ -18,7 +18,6 @@ from qkgr.pieri import quantum_pieri
 from qkgr.qk_engine import (
     Gr3Engine,
     LiftEngine,
-    MultiplicationTable,
     euler_char,
     giambelli_gr3,
     giambelli_lift_general,
@@ -229,7 +228,7 @@ def test_truncation_stabilization():
 
 
 def test_table_dump_deterministic():
-    table = MultiplicationTable(C24)
+    table = giambelli_lift_general(C24)
     buf1, buf2 = io.StringIO(), io.StringIO()
     table.dump_jsonl(buf1)
     table.dump_jsonl(buf2)
@@ -243,7 +242,7 @@ def test_table_dump_deterministic():
 
 
 def test_operator_columns():
-    table = MultiplicationTable(C24)
+    table = giambelli_lift_general(C24)
     for mu in table.basis:
         d, p = seidel_power(mu, 1, C24)
         assert table.engine.product_basis((1, 1), mu) == QKElement.basis(p, d)
@@ -300,6 +299,22 @@ LIFT_TABLE_SHA256 = {
 }
 
 
+# full sha256 of the Gr(4,10) and Gr(5,10) dumps, recorded from the earlier
+# monomial back-substitution kernel; not in LIFT_TABLE_SHA256, whose rings
+# are also solved pair by pair against the orbit tables
+LARGE_LIFT_TABLE_SHA256 = {
+    (4, 10): "a98ca45f52d36faad585e2c36f35476e1041827c43ce97dc55658b34854760ee",
+    (5, 10): "ca92f4e2684dc46eefea3115d2d61f6867cb6b958f79f7e845ba04d208ab164a",
+}
+
+
+@pytest.mark.parametrize("kk, nn", sorted(LARGE_LIFT_TABLE_SHA256))
+def test_large_lift_tables_match_pinned_digests(kk, nn):
+    buf = io.StringIO()
+    giambelli_lift_general(context(kk, nn)).dump_jsonl(buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == LARGE_LIFT_TABLE_SHA256[kk, nn]
+
+
 def test_lift_tables_match_pinned_digests():
     assert len(LIFT_TABLE_SHA256) == 36
     for (kk, nn), want in LIFT_TABLE_SHA256.items():
@@ -320,25 +335,59 @@ def test_check_unit_column_catches_a_bad_expansion():
     ctx = context(3, 6)
     LiftEngine(ctx).check_unit_column()
     eng = LiftEngine(ctx)
-    rho = (1, 1, 0)
-    assert len(eng.monomial_expansion(rho)) > 1
-    rid = eng._ids[rho]
-    (b, a), *rest = eng._expansions[rid]
-    eng._expansions[rid] = ((b, a + 1), *rest)
+    rid = eng._intern((1, 1, 0))
+    tid, terms = eng._step(rid)
+    assert terms
+    (c, a), *rest = terms
+    eng._steps[rid] = (tid, ((c, a + 1), *rest))
     with pytest.raises(ArithmeticError):
         eng.check_unit_column()
 
 
-def test_monomial_expansions_are_unitriangular_and_q_free():
+def test_pieri_steps_are_unitriangular_and_q_free():
+    # O^(rho_1) * O^(tail rho) = O^rho + sum a_c O^c, read off the public
+    # quantum Pieri rule: q-free, 1 on rho, every c above rho in basis order
+    # with no more nonzero rows; the engine's checked step must agree
     for kk, nn in [(2, 5), (3, 7), (4, 8)]:
         ctx = context(kk, nn)
         eng = LiftEngine(ctx)
-        for rho in all_partitions(ctx):
-            exp = eng.monomial_expansion(rho)
-            assert exp[(rho, 0)] == 1
-            for nu, d in exp:
+        for rho in all_partitions(ctx)[1:]:
+            tail = rho[1:] + (0,)
+            want = dict(quantum_pieri(tail, rho[0], ctx).terms)
+            assert want.pop((rho, 0)) == 1
+            for nu, d in want:
                 assert d == 0
-                assert nu == rho or (size(nu), nu) > (size(rho), rho)
+                assert (size(nu), nu) > (size(rho), rho)
+                assert nu.count(0) >= rho.count(0)
+            tid, terms = eng._step(eng._intern(rho))
+            assert eng._parts[tid] == tail
+            assert {(eng._parts[c], 0): a for c, a in terms} == want
+
+
+# each corrupts the Pieri row of O^2 * O^(1,0,0) in Gr(3,6), whose step
+# builds rho = (2,1,0); the unit (id 0) lies below it, (2,1,1) has more rows
+_CORRUPTIONS = {
+    "q-term": (lambda eng, rid, row: row + ((eng._stride + rid, 1),), "q-term"),
+    "no diagonal": (lambda eng, rid, row: tuple(t for t in row if t[0] != rid), "not unital"),
+    "below rho": (lambda eng, rid, row: row + ((0, 1),), "not triangular"),
+    "more rows": (lambda eng, rid, row: row + ((eng._intern((2, 1, 1)), 1),), "not triangular"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CORRUPTIONS))
+def test_corrupted_pieri_step_raises(monkeypatch, kind):
+    corrupt, message = _CORRUPTIONS[kind]
+    real = LiftEngine._row
+    eng = LiftEngine(C36)
+    rid, tid = eng._intern((2, 1, 0)), eng._intern((1, 0, 0))
+
+    def row(self, i, key):
+        got = real(self, i, key)
+        return corrupt(self, rid, got) if (i, key) == (2, tid) else got
+
+    monkeypatch.setattr(LiftEngine, "_row", row)
+    with pytest.raises(ArithmeticError, match=message):
+        eng.product_via_column((2, 1, 0), (1, 0, 0))
 
 
 def test_one_product_does_not_enumerate_the_ring():
@@ -471,7 +520,7 @@ def test_orbit_tables_have_euler_characteristic_q_to_d_min():
 
 def test_table_dump_is_spelled_as_json_dumps():
     # dump_jsonl formats each line by hand; json.dumps is the reference
-    for table in (giambelli_lift_general(C24), MultiplicationTable(C36)):
+    for table in (giambelli_lift_general(C24), giambelli_lift_general(C36)):
         buf = io.StringIO()
         table.dump_jsonl(buf)
         lines = buf.getvalue().split("\n")

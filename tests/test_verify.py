@@ -54,6 +54,17 @@ def test_chunks_capped_at_cpu_count():
     assert _chunks(0, 4) == [(0, 0)]
 
 
+@pytest.mark.parametrize("cpus, want", [(3, 3), (None, 1)])
+def test_chunks_without_sched_getaffinity(monkeypatch, cpus, want):
+    # macOS has no os.sched_getaffinity; the cap falls back to os.cpu_count()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    chunks = _chunks(1596, 10_000)
+    assert len(chunks) == want
+    assert chunks[0][0] == 0 and chunks[-1][1] == 1596
+    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+
+
 @pytest.mark.parametrize("suite", ["reductions", "duality", "associativity"])
 @pytest.mark.parametrize("seed", [0, 1, 17])
 def test_sample_matches_list_based_sample(suite, seed):
