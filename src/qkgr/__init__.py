@@ -32,7 +32,6 @@ from .pieri import (
     quantum_pieri_restated,
 )
 from .qk_engine import (
-    MultiplicationTable,
     euler_char,
     giambelli_gr3,
     giambelli_lift_general,
@@ -60,7 +59,6 @@ from .seidel import (
 __all__ = [
     "GrContext",
     "H",
-    "MultiplicationTable",
     "QKElement",
     "T",
     "all_partitions",

@@ -107,14 +107,24 @@ def normalize(parts, ctx: GrContext) -> Partition:
 
 
 def is_valid(lam, ctx: GrContext) -> bool:
+    """Whether lam has k int parts, weakly decreasing, in [0, n-k].  A float
+    part is rejected even where it equals an int: (2.0, 1) hashes and
+    compares equal to (2, 1), so it could seed any cache keyed by shape."""
     if len(lam) != ctx.k:
         return False
     prev = ctx.width
     for p in lam:
-        if not 0 <= p <= prev:
+        if not (isinstance(p, int) and 0 <= p <= prev):
             return False
         prev = p
     return True
+
+
+def _check_valid(lam, ctx: GrContext) -> None:
+    """``validate`` without the memo, which a float shape equal to a memoized
+    int one would pass; every cache keyed by shape runs it on a miss."""
+    if not is_valid(lam, ctx):
+        raise ValueError(f"{lam} is not a partition inside the {ctx.k}x{ctx.width} rectangle")
 
 
 def validate(lam, ctx: GrContext) -> None:
@@ -129,8 +139,7 @@ def validate(lam, ctx: GrContext) -> None:
             return
     except TypeError:  # an unhashable part: is_valid alone decides, as before
         memo = False
-    if not is_valid(lam, ctx):
-        raise ValueError(f"{lam} is not a partition inside the {ctx.k}x{ctx.width} rectangle")
+    _check_valid(lam, ctx)
     if memo:
         ctx.valid.add(lam)
 
@@ -207,6 +216,7 @@ def seidel_orbit(lam: Partition, ctx: GrContext) -> tuple[tuple[int, Partition],
     got = ctx.orbits.get(lam)
     if got is not None:
         return got
+    _check_valid(lam, ctx)
     n = ctx.n
     out = []
     up = lam

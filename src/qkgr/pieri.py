@@ -23,6 +23,7 @@ from math import comb
 from .element import QKElement
 from .partitions import (
     GrContext,
+    _check_valid,
     horizontal_strips_over,
     outer_rim_removals,
     seidel_up,
@@ -39,6 +40,7 @@ def _check_index(i: int, ctx: GrContext) -> None:
 def classical_terms(ctx: GrContext, lam, i: int):
     """Terms (nu, 0, coeff) of the classical product O^i . O^lam."""
     _check_index(i, ctx)
+    _check_valid(lam, ctx)
     out = []
     for nu in horizontal_strips_over(lam, ctx):
         s = size(nu) - size(lam)

@@ -10,8 +10,8 @@ representatives rho and sigma,
 
 so ``LiftEngine`` solves only products of two representatives, each once,
 and shifts.  ``LiftEngine._rep`` holds that rule; ``product_basis`` and
-``MultiplicationTable.entries`` both read it through
-``LiftEngine.shifted``.  ``GrContext.engine`` is a ``LiftEngine`` for
+the full table, ``LiftEngine.entries``, both read it through
+``LiftEngine._shifted``.  ``GrContext.engine`` is a ``LiftEngine`` for
 every k.
 
 ``LiftEngine`` solves one column O^mu of the multiplication table by one
@@ -51,6 +51,7 @@ from math import comb
 from .element import QKElement
 from .partitions import (
     GrContext,
+    _check_valid,
     basis_key,
     rook_strips_over,
     seidel_orbit,
@@ -100,6 +101,7 @@ class LiftEngine:
     def _intern(self, lam) -> int:
         got = self._ids.get(lam)
         if got is None:
+            _check_valid(lam, self.ctx)
             got = self._ids[lam] = len(self._parts)
             self._parts.append(lam)
         return got
@@ -211,7 +213,7 @@ class LiftEngine:
             got = self._reps[lam]
         return got
 
-    def shifted(self, lam, mu) -> QKElement:
+    def _shifted(self, lam, mu) -> QKElement:
         """O^lam * O^mu, unvalidated, as q^(d_a + d_b) T^(-a-b) (O^rho * O^sigma).
 
         The representatives' product is solved once, with the one of lower
@@ -239,8 +241,39 @@ class LiftEngine:
         if got is None:
             validate(lam, self.ctx)
             validate(mu, self.ctx)
-            got = self._elements[key] = self.shifted(lam, mu)
+            got = self._elements[key] = self._shifted(lam, mu)
         return got
+
+    def entries(self):
+        """The full table: all (lam, mu, QKElement) with lam <= mu in basis
+        order, each shifted from its representatives' product, so only the
+        R(R+1)/2 products of the R orbit representatives are solved.
+        Raises ArithmeticError if a shifted q-power leaves 0..trunc."""
+        basis, shifted = self.ctx.basis, self._shifted
+        for i, lam in enumerate(basis):
+            for mu in basis[i:]:
+                yield lam, mu, shifted(lam, mu)
+
+    def max_q_degree(self) -> int:
+        """Largest q-degree observed across the table."""
+        return max(
+            (elem.max_q() for _, _, elem in self.entries() if not elem.is_zero()),
+            default=0,
+        )
+
+    def dump_jsonl(self, fp) -> None:
+        """One JSON record per (lam, mu) pair, in deterministic order.
+
+        Each line is spelled as ``json.dumps`` spells the record
+        {"lhs": lam, "rhs": mu, "terms": elem.to_obj()["terms"]} with
+        separators (",", ":"): terms sorted by q-degree, then basis order.
+        """
+        text = {lam: ",".join(map(str, lam)) for lam in self.ctx.basis}
+        rank = {lam: i for i, lam in enumerate(self.ctx.basis)}
+        for lam, mu, elem in self.entries():
+            terms = sorted(elem.terms.items(), key=lambda t: (t[0][1], rank[t[0][0]]))
+            body = ",".join('{"q":%d,"partition":[%s],"coeff":%d}' % (d, text[nu], c) for (nu, d), c in terms)
+            fp.write('{"lhs":[%s],"rhs":[%s],"terms":[%s]}\n' % (text[lam], text[mu], body))
 
     def check_unit_column(self) -> None:
         """Verify that the kernel, solving the unit column, returns O^lam
@@ -398,56 +431,10 @@ def verify_recursion(lam, mu, nu, d: int, ctx: GrContext) -> bool:
     return left.truncated(d) == right.truncated(d)
 
 
-class MultiplicationTable:
-    """The full basis-product table for one ring over the engine it is
-    given, deterministically ordered; ``giambelli_lift_general`` builds it.
-
-    ``entries`` asks the engine's ``shifted`` for every pair, so by the
-    paper's Seidel representation the engine solves only the R(R+1)/2
-    products of the R orbit representatives, each once, and every other
-    entry is one shift.  ``LiftEngine.product_via_column``,
-    which never shifts, is the independent oracle for the table.
-    """
-
-    def __init__(self, ctx: GrContext, eng):
-        self.ctx = ctx
-        self.engine = eng
-        self.basis = ctx.basis
-
-    def entries(self):
-        """All (lam, mu, QKElement) with lam <= mu in basis order, each
-        shifted from its representatives' product.  Raises ArithmeticError
-        if a shifted q-power leaves 0..trunc."""
-        basis, shifted = self.basis, self.engine.shifted
-        for i, lam in enumerate(basis):
-            for mu in basis[i:]:
-                yield lam, mu, shifted(lam, mu)
-
-    def max_q_degree(self) -> int:
-        """Largest q-degree observed across the table."""
-        return max(
-            (elem.max_q() for _, _, elem in self.entries() if not elem.is_zero()),
-            default=0,
-        )
-
-    def dump_jsonl(self, fp) -> None:
-        """One JSON record per (lam, mu) pair, in deterministic order.
-
-        Each line is spelled as ``json.dumps`` spells the record
-        {"lhs": lam, "rhs": mu, "terms": elem.to_obj()["terms"]} with
-        separators (",", ":"): terms sorted by q-degree, then basis order.
-        """
-        text = {lam: ",".join(map(str, lam)) for lam in self.basis}
-        rank = {lam: i for i, lam in enumerate(self.basis)}
-        for lam, mu, elem in self.entries():
-            terms = sorted(elem.terms.items(), key=lambda t: (t[0][1], rank[t[0][0]]))
-            body = ",".join('{"q":%d,"partition":[%s],"coeff":%d}' % (d, text[nu], c) for (nu, d), c in terms)
-            fp.write('{"lhs":[%s],"rhs":[%s],"terms":[%s]}\n' % (text[lam], text[mu], body))
-
-
-def giambelli_lift_general(ctx: GrContext) -> MultiplicationTable:
-    """Full multiplication table through a lift engine of its own, unit-checked;
-    the table is the engine's only owner, so dropping it frees every column."""
+def giambelli_lift_general(ctx: GrContext) -> LiftEngine:
+    """A fresh, unit-checked lift engine: the ring's full table through its
+    ``entries``, ``dump_jsonl`` and ``max_q_degree``.  The caller is its only
+    owner, so dropping it frees every solved column."""
     eng = LiftEngine(ctx)
     eng.check_unit_column()
-    return MultiplicationTable(ctx, eng)
+    return eng

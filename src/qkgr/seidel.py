@@ -186,6 +186,10 @@ def reduction_trace(lam, mu, nu, d: int, ctx: GrContext) -> list[dict]:
     Each step applies the degree-one rewrite to whichever factor admits it
     with the smaller shift (first factor on ties), falling back to the
     dual-shift rewrite.  Stops at degree zero or when no rule applies.
+
+    The dual-shift rewrite needs no swapped form: once both degree-one
+    rewrites fail, nu >= lam and nu >= mu row by row, and its condition
+    nu_1 < lam_(k+1-j) + mu_j is then symmetric in lam and mu (j -> k+1-j).
     """
     steps = []
     while d > 0:
@@ -200,12 +204,7 @@ def reduction_trace(lam, mu, nu, d: int, ctx: GrContext) -> list[dict]:
         if options:
             _, rule, tup = min(options, key=lambda t: t[0])
         else:
-            tup = reduce_dual_shift(lam, mu, nu, d, ctx)
-            if tup is None:
-                tup = reduce_dual_shift(mu, lam, nu, d, ctx)
-                rule = "dual-shift-swapped"
-            else:
-                rule = "dual-shift"
+            rule, tup = "dual-shift", reduce_dual_shift(lam, mu, nu, d, ctx)
             if tup is None:
                 break
         lam, mu, nu, d = tup

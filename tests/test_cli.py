@@ -103,6 +103,29 @@ def test_verify_jobs_below_one_is_usage_error(capsys):
     assert "jobs" in err
 
 
+def test_verify_failure_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr("qkgr.verify.qlr_gr3", lambda lam, mu, nu, d, ctx: 7)
+    code, out, err = run_cli(capsys, "verify", "gr3n-rule", "-n", "6", "--sample", "3")
+    assert code == 1
+    assert err == ""
+    head, failure = out.splitlines()
+    assert head.startswith("gr3n-rule on Gr(3,6): FAIL (")
+    assert failure.startswith("first failure: rule 7 != oracle ")
+
+
+def test_internal_inconsistency_exits_one(capsys, monkeypatch):
+    # an ArithmeticError from the engine (a shifted q-power leaving 0..trunc,
+    # a Pieri step failing its checks) is not a usage error
+    def overflow(lam, mu, ctx):
+        raise OverflowError("q-degree 5 exceeds truncation 3; widen the context")
+
+    monkeypatch.setattr("qkgr.cli.product_basis", overflow)
+    code, out, err = run_cli(capsys, "product", "-k", "2", "-n", "4", "--lhs", "1", "--rhs", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "internal inconsistency: q-degree 5 exceeds truncation 3; widen the context\n"
+
+
 def test_verify_csv(capsys):
     code, out, _ = run_cli(capsys, "verify", "dmin", "-k", "2", "-n", "4", "--csv")
     assert code == 0

@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from itertools import product as iterproduct
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -281,3 +286,51 @@ def test_validate_memo_agrees_with_is_valid(monkeypatch):
 
     validate((Part(2), 1, 0), ctx)
     assert ctx.valid == {(2, 1, 0)}
+
+
+def test_non_integer_parts_are_rejected_before_any_cache_stores_them():
+    # (1.0, 0) == (1, 0), and both hash alike, so a float shape stored by a
+    # cache keyed by shape would answer later int lookups; the caches are
+    # process-lifetime, hence the fresh interpreter
+    assert not is_valid((1.5, 0), C24) and not is_valid((1.0, 0), C24)
+    script = (
+        "import json\n"
+        "from qkgr.element import QKElement\n"
+        "from qkgr.partitions import GrContext, context, validate\n"
+        "from qkgr.pieri import quantum_pieri\n"
+        "from qkgr.qk_engine import LiftEngine, product_basis, structure_constant\n"
+        "from qkgr.seidel import T\n"
+        "ctx = context(2, 5)\n"
+        "validate((2, 1), ctx)  # the memo now passes (2.0, 1)\n"
+        "calls = [\n"
+        "    lambda: T(QKElement.basis((1.0, 0)), GrContext(2, 5, 3)),\n"
+        "    lambda: product_basis((1.5, 0), (1, 0), ctx),\n"
+        "    lambda: structure_constant((1, 0), (1, 0), (1.5, 0.5), 0, ctx),\n"
+        "    lambda: quantum_pieri((2.0, 1), 1, ctx),\n"
+        "    lambda: LiftEngine(ctx).product_via_column((2.0, 1), (1, 0)),\n"
+        "]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__)\n"
+        "    else:\n"
+        "        print('no error')\n"
+        "for elem in (\n"
+        "    product_basis((1, 1), (1, 0), context(2, 5)),\n"
+        "    quantum_pieri((2, 1), 1, ctx),\n"
+        "    T(QKElement.basis((1, 0)), ctx),\n"
+        "):\n"
+        "    print(json.dumps(elem.to_obj(), separators=(',', ':')))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.split()
+    assert lines[:5] == ["ValueError"] * 5
+    terms = [t for line in lines[5:] for t in json.loads(line)["terms"]]
+    assert len(lines) == 8 and terms
+    for t in terms:
+        assert all(type(v) is int for v in (t["q"], t["coeff"], *t["partition"])), t
+

@@ -264,3 +264,23 @@ def test_reduction_trace_trivial_cases():
     # nothing reducible: nu dominates both factors rowwise and columnwise
     steps = reduction_trace((1, 0, 0), (1, 0, 0), (3, 3, 3), 1, C36)
     assert steps == []
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 6)])
+def test_reduction_trace_keeps_every_constant(k, n):
+    # every step of every degree >= 1 trace, dual-shift steps included,
+    # indexes a structure constant equal to the one it started from
+    ctx = context(k, n)
+    parts = all_partitions(ctx)
+    rules = {}
+    for lam in parts:
+        for mu in parts:
+            for nu in parts:
+                for d in range(1, ctx.trunc + 1):
+                    want = structure_constant(lam, mu, nu, d, ctx)
+                    for step in reduction_trace(lam, mu, nu, d, ctx):
+                        rules[step["rule"]] = rules.get(step["rule"], 0) + 1
+                        got = (step["lhs"], step["rhs"], step["nu"], step["deg"])
+                        assert constant(got, ctx) == want, (lam, mu, nu, d, step)
+    assert set(rules) == {"deg-one", "deg-one-swapped", "dual-shift"}, rules
+

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import qkgr
+from qkgr.element import QKElement
 from qkgr.partitions import GrContext, all_partitions, context, validate
 from qkgr.qk_engine import LiftEngine
+from qkgr.seidel import T
 from qkgr.verify import SUITE_NAMES, _chunks, _prepare, run_suite
 
 
@@ -188,6 +190,49 @@ def test_reductions_report_the_first_broken_rewrite(monkeypatch, jobs):
     rep = run_suite("reductions", 2, 5, jobs=jobs)
     assert (rep["items"], rep["checks"], rep["failures"]) == (4000, 13747, 238)
     assert rep["first_failure"] == "deg-one broke (0, 0),(0, 0),(0, 0),q^1: 0 -> 1"
+
+
+def _identity(x, ctx):
+    return x
+
+
+# (suite, k, n, the names in qkgr.verify to replace, their replacement, the
+# failure message's prefix): one case per message of every suite but
+# reductions, whose message test_reductions_report_the_first_broken_rewrite
+# already pins.  On Gr(2,4), n = 2k, so H := T keeps H^n = q^(n-k) and
+# breaks only HT = q
+_BROKEN = [
+    ("seidel", 2, 5, "T", _identity, "T^5 != q^2 Id at "),
+    ("seidel", 2, 5, "H", _identity, "H^5 != q^3 Id at "),
+    ("seidel", 2, 4, "H", T, "HT != q Id at "),
+    ("seidel", 2, 5, "seidel_power", lambda lam, r, ctx: (9, lam), "engine product disagrees with T "),
+    ("pieri-equiv", 2, 5, "quantum_pieri_restated", lambda lam, i, ctx: QKElement(), "pieri forms differ at "),
+    (
+        "pieri-equiv", 2, 5, "quantum_pieri quantum_pieri_restated",
+        lambda lam, i, ctx: QKElement.basis(lam, 2), "pieri q-degree above 1 at ",
+    ),
+    ("pieri-equiv", 2, 5, "classical_pieri", lambda lam, i, ctx: QKElement(), "q=0 part differs from "),
+    ("gr3n-rule", 3, 6, "qlr_gr3", lambda lam, mu, nu, d, ctx: 7, "rule 7 != oracle "),
+    ("dmin", 2, 5, "d_min", lambda lam, mu, ctx: (-1, 0), "d_min -1 != smallest power "),
+    ("dmin", 2, 5, "seidel_up", lambda lam, p, ctx: lam, "shift identity fails at "),
+    ("positivity", 2, 5, "positivity_check", lambda *args: False, "sign violation at "),
+    ("duality", 2, 5, "dual", _identity, "duality broke "),
+    ("curve-nbhd", 2, 5, "rim_peel", _identity, "rim peeling differs from row/column removal at "),
+    ("curve-nbhd", 2, 5, "gamma_special", lambda mv, d, ctx: None, "two-pointed neighborhood mismatch at "),
+    ("associativity", 2, 5, "verify_recursion", lambda *args: False, "associativity fails at "),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, k, n, names, broken, prefix", _BROKEN, ids=[f"{c[0]}-{c[3].split()[0]}" for c in _BROKEN]
+)
+def test_every_suite_reports_its_failures(monkeypatch, suite, k, n, names, broken, prefix):
+    for name in names.split():
+        monkeypatch.setattr(f"qkgr.verify.{name}", broken)
+    rep = run_suite(suite, k, n)
+    assert not rep["ok"]
+    assert rep["failures"] >= 1
+    assert rep["first_failure"].startswith(prefix), rep["first_failure"]
 
 
 @pytest.mark.parametrize("suite, k, n", [("seidel", 2, 5), ("seidel", 4, 7), ("dmin", 3, 6)])
