@@ -16,7 +16,7 @@ suite, for all of Gr(3, 6) through Gr(3, 10).
 from __future__ import annotations
 
 from .partitions import GrContext, size, validate
-from .qk_engine import structure_constant
+from .qk_engine import _structure_constant
 
 
 def qlr_gr3(lam, mu, nu, d: int, ctx: GrContext) -> int:
@@ -28,10 +28,15 @@ def qlr_gr3(lam, mu, nu, d: int, ctx: GrContext) -> int:
         validate(p, ctx)
     if lam[2] != 0 or mu[2] != 0:
         raise ValueError("qlr_gr3 expects lam_3 = mu_3 = 0; reduce third rows first")
+    return _qlr_gr3(lam, mu, nu, d, ctx)
+
+
+def _qlr_gr3(lam, mu, nu, d: int, ctx: GrContext) -> int:
+    """``qlr_gr3`` on k = 3 tuples with lam_3 = mu_3 = 0, unchecked."""
     if d < 0:
         return 0
     if d == 0:
-        return structure_constant(lam, mu, nu, 0, ctx)
+        return _structure_constant(lam, mu, nu, 0, ctx)
     if d >= 2:
         return 0
 
@@ -40,7 +45,7 @@ def qlr_gr3(lam, mu, nu, d: int, ctx: GrContext) -> int:
         if nu[0] >= lam[0]:
             lam, mu = mu, lam
         a = lam[0]
-        return structure_constant(
+        return _structure_constant(
             (lam[1] + w - a, w - a, 0),
             mu,
             (nu[0] + w + 1 - a, nu[1] + w + 1 - a, nu[2] + w + 1 - a),
@@ -51,7 +56,7 @@ def qlr_gr3(lam, mu, nu, d: int, ctx: GrContext) -> int:
         if nu[1] >= lam[1]:
             lam, mu = mu, lam
         b = lam[1]
-        return structure_constant(
+        return _structure_constant(
             (w - b, lam[0] - b, 0),
             mu,
             (nu[1] + w + 1 - b, nu[2] + w + 1 - b, nu[0] - b + 1),

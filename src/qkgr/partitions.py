@@ -30,11 +30,7 @@ class GrContext:
     They are set with ``object.__setattr__``, not
     ``functools.cached_property``: touching ``__dict__`` would take the
     fields out of CPython's inline layout and slow every ``ctx.k`` read.
-
-    ``valid`` is the memo of ``validate``: the tuples that have passed
-    ``is_valid`` in this ring.  Only valid tuples enter it, so it never
-    holds more than the ring's basis, and only as many of those as were
-    checked.
+    No validation is recorded here: ``validate`` runs in full on every call.
     """
 
     k: int
@@ -42,7 +38,6 @@ class GrContext:
     trunc: int
     width: int = field(init=False, compare=False, repr=False)
     orbits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    valid: set = field(default_factory=set, init=False, compare=False, repr=False)
     _basis = None
     _engine = None
 
@@ -98,8 +93,8 @@ def _build_context(k: int, n: int, trunc: int) -> GrContext:
 
 
 def normalize(parts, ctx: GrContext) -> Partition:
-    """Pad with trailing zeros to length k and validate."""
-    lam = tuple(int(p) for p in parts)
+    """Pad with trailing zeros to length k and validate; no part is converted."""
+    lam = tuple(parts)
     if len(lam) < ctx.k:
         lam = lam + (0,) * (ctx.k - len(lam))
     validate(lam, ctx)
@@ -120,28 +115,11 @@ def is_valid(lam, ctx: GrContext) -> bool:
     return True
 
 
-def _check_valid(lam, ctx: GrContext) -> None:
-    """``validate`` without the memo, which a float shape equal to a memoized
-    int one would pass; every cache keyed by shape runs it on a miss."""
+def validate(lam, ctx: GrContext) -> None:
+    """Raise ValueError unless ``is_valid``, in full on every call: each public
+    function runs it on its arguments, each cache keyed by shape on a miss."""
     if not is_valid(lam, ctx):
         raise ValueError(f"{lam} is not a partition inside the {ctx.k}x{ctx.width} rectangle")
-
-
-def validate(lam, ctx: GrContext) -> None:
-    """Raise ValueError unless lam is a partition in the ring's rectangle.
-
-    A tuple that passed once is in ``ctx.valid``, so checking it again is
-    one set lookup; anything else, lists included, runs ``is_valid``.
-    """
-    memo = type(lam) is tuple
-    try:
-        if memo and lam in ctx.valid:
-            return
-    except TypeError:  # an unhashable part: is_valid alone decides, as before
-        memo = False
-    _check_valid(lam, ctx)
-    if memo:
-        ctx.valid.add(lam)
 
 
 def size(lam: Partition) -> int:
@@ -216,7 +194,7 @@ def seidel_orbit(lam: Partition, ctx: GrContext) -> tuple[tuple[int, Partition],
     got = ctx.orbits.get(lam)
     if got is not None:
         return got
-    _check_valid(lam, ctx)
+    validate(lam, ctx)
     n = ctx.n
     out = []
     up = lam

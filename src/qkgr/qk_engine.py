@@ -51,7 +51,6 @@ from math import comb
 from .element import QKElement
 from .partitions import (
     GrContext,
-    _check_valid,
     basis_key,
     rook_strips_over,
     seidel_orbit,
@@ -101,7 +100,7 @@ class LiftEngine:
     def _intern(self, lam) -> int:
         got = self._ids.get(lam)
         if got is None:
-            _check_valid(lam, self.ctx)
+            validate(lam, self.ctx)
             got = self._ids[lam] = len(self._parts)
             self._parts.append(lam)
         return got
@@ -234,15 +233,19 @@ class LiftEngine:
             got = _shift_terms(got, -a - b, da + db, self.ctx)
         return got
 
-    def product_basis(self, lam, mu) -> QKElement:
-        """O^lam * O^mu, validated and cached by the unordered pair."""
+    def _product(self, lam, mu) -> QKElement:
+        """O^lam * O^mu, unvalidated, cached by the unordered pair."""
         key = (lam, mu) if lam >= mu else (mu, lam)
         got = self._elements.get(key)
         if got is None:
-            validate(lam, self.ctx)
-            validate(mu, self.ctx)
             got = self._elements[key] = self._shifted(lam, mu)
         return got
+
+    def product_basis(self, lam, mu) -> QKElement:
+        """O^lam * O^mu, both factors validated on every call; see ``_product``."""
+        validate(lam, self.ctx)
+        validate(mu, self.ctx)
+        return self._product(lam, mu)
 
     def entries(self):
         """The full table: all (lam, mu, QKElement) with lam <= mu in basis
@@ -356,8 +359,11 @@ def product_basis(lam, mu, ctx: GrContext) -> QKElement:
 
 
 def product(a: QKElement, b: QKElement, ctx: GrContext) -> QKElement:
-    """Bilinear extension of the basis product, truncated at ctx.trunc."""
-    prod, trunc = ctx.engine.product_basis, ctx.trunc
+    """Bilinear extension of the basis product, truncated at ctx.trunc; each
+    term shape is validated once, then every basis product read unchecked."""
+    for lam, _ in (*a.terms, *b.terms):
+        validate(lam, ctx)
+    prod, trunc = ctx.engine._product, ctx.trunc
     out = {}
     for (p2, d2), c2 in b.terms.items():
         for (p1, d1), c1 in a.terms.items():
@@ -374,9 +380,15 @@ def structure_constant(lam, mu, nu, d: int, ctx: GrContext) -> int:
     """The coefficient of q^d O^nu in O^lam * O^mu."""
     if not 0 <= d <= ctx.trunc:
         raise ValueError(f"degree {d} outside 0..{ctx.trunc}")
-    nu = tuple(nu)
-    validate(nu, ctx)
-    return product_basis(lam, mu, ctx).terms.get((nu, d), 0)
+    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
+    for p in (lam, mu, nu):
+        validate(p, ctx)
+    return _structure_constant(lam, mu, nu, d, ctx)
+
+
+def _structure_constant(lam, mu, nu, d: int, ctx: GrContext) -> int:
+    """``structure_constant`` on tuples, unchecked; a d outside 0..trunc reads 0."""
+    return ctx.engine._product(lam, mu).terms.get((nu, d), 0)
 
 
 def reduce_third_row(lam, mu, nu, d: int, ctx: GrContext):
@@ -390,6 +402,11 @@ def reduce_third_row(lam, mu, nu, d: int, ctx: GrContext):
         raise ValueError("reduce_third_row needs k = 3")
     for p in (lam, mu, nu):
         validate(p, ctx)
+    return _reduce_third_row(lam, mu, nu, d, ctx)
+
+
+def _reduce_third_row(lam, mu, nu, d: int, ctx: GrContext):
+    """``reduce_third_row`` on k = 3 shapes, unchecked."""
     s = lam[2] + mu[2]
     dd, nu2 = seidel_power(nu, -s, ctx)
     if seidel_power(nu2, s, ctx) != (-dd, nu):

@@ -4,7 +4,8 @@ Each suite prepares a deterministic sequence of work items plus a checker,
 runs the checker over every item (optionally split across processes), and
 returns a report with the number of checks, the failure count and the
 first failure.  Sweeps are embarrassingly parallel; results are merged in
-chunk order so output is identical for any job count.
+chunk order so output is identical for any job count.  Every item is a
+basis shape or a shift or dual of one, so checkers call unvalidated cores.
 """
 
 from __future__ import annotations
@@ -18,16 +19,15 @@ from itertools import product as iterproduct
 
 from .curve_nbhd import curve_neighborhood, gamma_special, rim_peel
 from .element import QKElement
-from .gr3n import positivity_check, qlr_gr3
+from .gr3n import _qlr_gr3, positivity_check
 from .partitions import all_partitions, context, dual, seidel_power, seidel_up
 from .pieri import classical_pieri, quantum_pieri, quantum_pieri_restated
 from .qk_engine import (
     LiftEngine,
     _rank,
+    _reduce_third_row,
     _strip_third_row,
-    product_basis,
-    reduce_third_row,
-    structure_constant,
+    _structure_constant,
     verify_recursion,
 )
 from .seidel import (
@@ -45,7 +45,7 @@ def _constant(tup, ctx):
     lam, mu, nu, d = tup
     if d < 0 or d > ctx.trunc:
         return None
-    return structure_constant(lam, mu, nu, d, ctx)
+    return _structure_constant(lam, mu, nu, d, ctx)
 
 
 # _run_chunk reads the items, the checker and the context from _WORKER so
@@ -93,7 +93,7 @@ def _check_pieri_equiv(item, ctx):
 
 def _check_gr3n_rule(pair, ctx):
     lam, mu = pair
-    prod = product_basis(lam, mu, ctx)
+    prod = ctx.engine._product(lam, mu)
     s = lam[2] + mu[2]
     lam2, mu2 = _strip_third_row(lam), _strip_third_row(mu)
     count = 0
@@ -102,7 +102,7 @@ def _check_gr3n_rule(pair, ctx):
         for d in range(ctx.trunc + 1):
             count += 1
             want = prod.terms.get((nu, d), 0)
-            got = qlr_gr3(lam2, mu2, nu2, d + dd, ctx)
+            got = _qlr_gr3(lam2, mu2, nu2, d + dd, ctx)
             if got != want:
                 return (count, f"rule {got} != oracle {want} at {lam},{mu},{nu},q^{d}")
     return (count, None)
@@ -117,9 +117,7 @@ def _check_dmin(pair, ctx):
     prod = _WORKER["direct"].product_via_column(row, col)
     if prod.min_q() != d:
         return (1, f"d_min {d} != smallest power {prod.min_q()} at {lam},{mu}")
-    shifted = product_basis(
-        seidel_up(lam, r, ctx), seidel_up(mu, ctx.n - r, ctx), ctx
-    ).q_shift(d)
+    shifted = ctx.engine._product(seidel_up(lam, r, ctx), seidel_up(mu, ctx.n - r, ctx)).q_shift(d)
     if shifted.truncated(ctx.trunc) != prod:
         return (1, f"shift identity fails at {lam},{mu} (r={r})")
     return (2, None)
@@ -135,12 +133,12 @@ def _rewrites(lam, mu, nu, d, ctx):
         yield f"higher-{s}", reduce_higher(lam, mu, nu, d, s, ctx)
     yield "dual-shift", reduce_dual_shift(lam, mu, nu, d, ctx)
     if ctx.k == 3:
-        yield "third-row", reduce_third_row(lam, mu, nu, d, ctx)
+        yield "third-row", _reduce_third_row(lam, mu, nu, d, ctx)
 
 
 def _check_reductions(item, ctx):
     lam, mu, nu, d = item
-    orig = structure_constant(lam, mu, nu, d, ctx)
+    orig = _structure_constant(lam, mu, nu, d, ctx)
     count = 0
     # lazy, so a failure stops the sweep before the later rewrites run
     for rule, tup in _rewrites(lam, mu, nu, d, ctx):
@@ -156,7 +154,7 @@ def _check_reductions(item, ctx):
 def _check_positivity(pair, ctx):
     lam, mu = pair
     count = 0
-    for (nu, d), c in product_basis(lam, mu, ctx).terms.items():
+    for (nu, d), c in ctx.engine._product(lam, mu).terms.items():
         count += 1
         if not positivity_check(lam, mu, nu, d, c, ctx):
             return (count, f"sign violation at {lam},{mu},{nu},q^{d}: {c}")
@@ -165,8 +163,8 @@ def _check_positivity(pair, ctx):
 
 def _check_duality(item, ctx):
     lam, mu, nu, d = item
-    orig = structure_constant(lam, mu, nu, d, ctx)
-    got = structure_constant(lam, dual(nu, ctx), dual(mu, ctx), d, ctx)
+    orig = _structure_constant(lam, mu, nu, d, ctx)
+    got = _structure_constant(lam, dual(nu, ctx), dual(mu, ctx), d, ctx)
     if got != orig:
         return (1, f"duality broke {lam},{mu},{nu},q^{d}: {orig} -> {got}")
     return (1, None)

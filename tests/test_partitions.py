@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qkgr.element import QKElement
 from qkgr.partitions import (
     GrContext,
     all_partitions,
@@ -30,6 +31,7 @@ from qkgr.partitions import (
     to_jump_sequence,
     validate,
 )
+from qkgr.qk_engine import product
 
 C24 = context(2, 4)
 C36 = context(3, 6)
@@ -72,6 +74,10 @@ def test_normalize_and_parse():
         normalize((1, 2), C24)
     with pytest.raises(ValueError):
         normalize((3, 0), C24)
+    # parts are checked, not converted: int() would truncate 1.5 and parse "2"
+    for parts in [(1.5, 0), ("2", "1")]:
+        with pytest.raises(ValueError, match="is not a partition inside"):
+            normalize(parts, C24)
 
 
 def test_dual_examples():
@@ -250,8 +256,8 @@ def test_all_partitions_order_and_count():
     assert parts[0] == (0, 0, 0) and parts[-1] == (3, 3, 3)
 
 
-def test_validate_memo_agrees_with_is_valid(monkeypatch):
-    # validate's memo is the fast path; is_valid is the slow path it must match
+def test_validate_agrees_with_is_valid():
+    # twice over every tuple and list, so no answer depends on an earlier call
     for k, n in [(2, 5), (3, 6), (4, 8)]:
         ctx = GrContext(k, n, min(k, n - k) + 1)
         parts = range(-1, ctx.width + 2)
@@ -264,20 +270,9 @@ def test_validate_memo_agrees_with_is_valid(monkeypatch):
                     else:
                         with pytest.raises(ValueError, match="is not a partition inside"):
                             validate(lam, ctx)
-        # no invalid tuple and no list ever entered the memo
-        assert ctx.valid == set(ctx.basis)
 
-    slow = []
-    monkeypatch.setattr("qkgr.partitions.is_valid", lambda lam, ctx: slow.append(lam) or is_valid(lam, ctx))
     ctx = GrContext(3, 6, 4)
-    validate((2, 1, 0), ctx)
-    validate((2, 1, 0), ctx)
-    assert slow == [(2, 1, 0)]
-    # a list equal to a memoized tuple still runs the full check
-    validate([2, 1, 0], ctx)
-    assert slow == [(2, 1, 0), [2, 1, 0]]
-    assert ctx.valid == {(2, 1, 0)}
-    # a tuple with an unhashable part cannot be memoized; is_valid alone decides
+    # a tuple with an unhashable part: is_valid alone decides
     with pytest.raises(ValueError, match="is not a partition inside"):
         validate(([1], 0, 0, 0), ctx)
 
@@ -285,7 +280,22 @@ def test_validate_memo_agrees_with_is_valid(monkeypatch):
         __hash__ = None
 
     validate((Part(2), 1, 0), ctx)
-    assert ctx.valid == {(2, 1, 0)}
+
+
+def test_validation_does_not_depend_on_history():
+    # (2.0, 1) == (2, 1) and both hash alike; a fresh context, so no shape
+    # of this ring is in its orbit table or its engine before the first round
+    ctx = GrContext(2, 5, 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="is not a partition inside"):
+            validate((2.0, 1), ctx)
+        with pytest.raises(ValueError, match="is not a partition inside"):
+            ctx.engine.product_basis((2.0, 1), (1, 0))
+        with pytest.raises(ValueError, match="is not a partition inside"):
+            product(QKElement.basis((1, 0)), QKElement({((2.0, 1), 0): 1}), ctx)
+        validate((2, 1), ctx)
+        ctx.engine.product_basis((2, 1), (1, 0))
+    assert ((2, 1), (1, 0)) in ctx.engine._elements
 
 
 def test_non_integer_parts_are_rejected_before_any_cache_stores_them():
@@ -296,13 +306,16 @@ def test_non_integer_parts_are_rejected_before_any_cache_stores_them():
     script = (
         "import json\n"
         "from qkgr.element import QKElement\n"
-        "from qkgr.partitions import GrContext, context, validate\n"
-        "from qkgr.pieri import quantum_pieri\n"
+        "from qkgr.partitions import GrContext, context, seidel_orbit\n"
+        "from qkgr.pieri import quantum_pieri, quantum_terms\n"
         "from qkgr.qk_engine import LiftEngine, product_basis, structure_constant\n"
         "from qkgr.seidel import T\n"
         "ctx = context(2, 5)\n"
-        "validate((2, 1), ctx)  # the memo now passes (2.0, 1)\n"
         "calls = [\n"
+        "    # each storage-layer check, reached before any int row or orbit is cached\n"
+        "    lambda: seidel_orbit((1.0, 0), ctx),\n"
+        "    lambda: quantum_terms(ctx, (2.0, 1), 1),\n"
+        "    lambda: LiftEngine(ctx)._intern((2.0, 1)),\n"
         "    lambda: T(QKElement.basis((1.0, 0)), GrContext(2, 5, 3)),\n"
         "    lambda: product_basis((1.5, 0), (1, 0), ctx),\n"
         "    lambda: structure_constant((1, 0), (1, 0), (1.5, 0.5), 0, ctx),\n"
@@ -328,9 +341,9 @@ def test_non_integer_parts_are_rejected_before_any_cache_stores_them():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.split()
-    assert lines[:5] == ["ValueError"] * 5
-    terms = [t for line in lines[5:] for t in json.loads(line)["terms"]]
-    assert len(lines) == 8 and terms
+    assert lines[:8] == ["ValueError"] * 8
+    terms = [t for line in lines[8:] for t in json.loads(line)["terms"]]
+    assert len(lines) == 11 and terms
     for t in terms:
         assert all(type(v) is int for v in (t["q"], t["coeff"], *t["partition"])), t
 

@@ -405,8 +405,6 @@ def test_one_product_does_not_enumerate_the_ring():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
-    # the validation memo holds the few shapes this product checked, not the ring
-    assert len(ctx.valid) < 50
     want = {(2, 1, 1): 1, (2, 2, 0): 1, (3, 1, 0): 1, (2, 2, 1): -1, (3, 1, 1): -1, (3, 2, 0): -1, (3, 2, 1): 1}
     assert got == QKElement({(lam + pad, 0): c for lam, c in want.items()})
 

@@ -212,7 +212,7 @@ _BROKEN = [
         lambda lam, i, ctx: QKElement.basis(lam, 2), "pieri q-degree above 1 at ",
     ),
     ("pieri-equiv", 2, 5, "classical_pieri", lambda lam, i, ctx: QKElement(), "q=0 part differs from "),
-    ("gr3n-rule", 3, 6, "qlr_gr3", lambda lam, mu, nu, d, ctx: 7, "rule 7 != oracle "),
+    ("gr3n-rule", 3, 6, "_qlr_gr3", lambda lam, mu, nu, d, ctx: 7, "rule 7 != oracle "),
     ("dmin", 2, 5, "d_min", lambda lam, mu, ctx: (-1, 0), "d_min -1 != smallest power "),
     ("dmin", 2, 5, "seidel_up", lambda lam, p, ctx: lam, "shift identity fails at "),
     ("positivity", 2, 5, "positivity_check", lambda *args: False, "sign violation at "),
@@ -261,15 +261,34 @@ def test_context_is_one_object_per_ring():
     for _ in range(2):
         with pytest.raises(ValueError):
             context(3, 3)
-    # the validation memo changes neither identity nor spelling
     ctx = context(3, 8)
-    for lam in ctx.basis:
-        validate(lam, ctx)
-    assert ctx.valid
     assert ctx == GrContext(3, 8, 4) and hash(ctx) == hash(GrContext(3, 8, 4))
     assert repr(ctx) == "GrContext(k=3, n=8, trunc=4)"
     assert type(ctx.width) is int and ctx.width == 5
     assert "width" in vars(ctx)
+
+
+@pytest.mark.parametrize(
+    "suite, k, n", [("gr3n-rule", 3, 6), ("reductions", 3, 6), ("duality", 2, 6), ("positivity", 3, 6)]
+)
+def test_sweeps_do_not_validate_per_check(monkeypatch, suite, k, n):
+    # items come from ctx.basis, so the checkers call the unvalidated cores;
+    # validate is counted in every qkgr namespace that binds it
+    calls = []
+
+    def counted(lam, ctx):
+        calls.append(lam)
+        return validate(lam, ctx)
+
+    bound = [
+        name for name, mod in sys.modules.items() if name.startswith("qkgr.") and vars(mod).get("validate") is validate
+    ]
+    assert {"qkgr.partitions", "qkgr.qk_engine", "qkgr.gr3n"} <= set(bound)
+    for name in bound:
+        monkeypatch.setattr(f"{name}.validate", counted)
+    rep = run_suite(suite, k, n)
+    assert rep["ok"] and rep["checks"] >= 500
+    assert len(calls) < rep["checks"] / 100, len(calls)
 
 
 def test_sweeps_leave_one_context_per_ring():
