@@ -9,10 +9,10 @@ representatives rho and sigma,
     O^lam * O^mu = q^(d_a + d_b) T^(-a-b) (O^rho * O^sigma),
 
 so ``LiftEngine`` solves only products of two representatives, each once,
-and shifts.  ``LiftEngine._rep`` holds that rule; ``product_basis`` and
-the full table, ``LiftEngine.entries``, both read it through
-``LiftEngine._shifted``.  ``GrContext.engine`` is a ``LiftEngine`` for
-every k.
+and shifts.  ``LiftEngine._rep`` holds that rule and ``LiftEngine._solved``
+the representatives' products; ``product_basis`` (through ``_shifted``)
+and the full table (through ``_table``, which shifts on basis positions)
+both read them.  ``GrContext.engine`` is a ``LiftEngine`` for every k.
 
 ``LiftEngine`` solves one column O^mu of the multiplication table by one
 quantum Pieri step per class (Buch-Mihalcea).  With
@@ -212,23 +212,29 @@ class LiftEngine:
             got = self._reps[lam]
         return got
 
-    def _shifted(self, lam, mu) -> QKElement:
-        """O^lam * O^mu, unvalidated, as q^(d_a + d_b) T^(-a-b) (O^rho * O^sigma).
+    def _solved(self, key) -> QKElement:
+        """O^rho * O^sigma for a pair key = (rho, sigma) of representatives,
+        rho >= sigma, solved once into ``_elements``.
 
-        The representatives' product is solved once, with the one of lower
-        ``_rank`` as the row, the one whose walk reads fewer classes.  A
-        rectangle's representative is (0), so its product is the unit
-        solved in the other column.  Raises ArithmeticError if a shifted
-        q-power leaves 0..trunc.
+        The row is the one of lower ``_rank``, the one whose walk reads
+        fewer classes.  A rectangle's representative is (0), so its product
+        is the unit solved in the other column.
         """
-        rho, a, da = self._rep(lam)
-        sigma, b, db = self._rep(mu)
-        key = (rho, sigma) if rho >= sigma else (sigma, rho)
         got = self._elements.get(key)
         if got is None:
             row, col = sorted(key, key=_rank)
             rid, mid = self._intern(row), self._intern(col)
             got = self._elements[key] = self._element(self._solve_column(mid, rid)[rid])
+        return got
+
+    def _shifted(self, lam, mu) -> QKElement:
+        """O^lam * O^mu, unvalidated, as q^(d_a + d_b) T^(-a-b) (O^rho * O^sigma)
+        with the representatives' product from ``_solved``.  Raises
+        ArithmeticError if a shifted q-power leaves 0..trunc.
+        """
+        rho, a, da = self._rep(lam)
+        sigma, b, db = self._rep(mu)
+        got = self._solved((rho, sigma) if rho >= sigma else (sigma, rho))
         if a + b or da + db:
             got = _shift_terms(got, -a - b, da + db, self.ctx)
         return got
@@ -247,36 +253,76 @@ class LiftEngine:
         validate(mu, self.ctx)
         return self._product(lam, mu)
 
+    def _table(self):
+        """Yield (i, j, terms) for every pair i <= j of basis positions, with
+        O^basis[i] * O^basis[j] as a sorted list of (q-degree, basis
+        position, coeff) tuples.
+
+        Each entry is q^(d_a + d_b) T^(-a-b) applied to its representatives'
+        product (see ``_shifted``), read on positions: ``orbit[p][r]`` is
+        (d_r, position of basis[p] up r), copied from ``seidel_orbit``, and
+        each representative pair's product is turned into one flat tuple
+        (position, q-degree, coeff, ...) once per walk, a third of the
+        memory of a tuple per term.  T^r is a bijection on (class, q-degree)
+        pairs, so the shifted terms stay distinct, and sorting puts their
+        degrees at the two ends: OverflowError if the last is above trunc,
+        ArithmeticError if the first is below 0.
+        """
+        ctx = self.ctx
+        basis, n, k, trunc = ctx.basis, ctx.n, ctx.k, ctx.trunc
+        pos = {lam: i for i, lam in enumerate(basis)}
+        orbit = [tuple((d, pos[up]) for d, up in seidel_orbit(lam, ctx)) for lam in basis]
+        reps = [self._rep(lam) for lam in basis]
+        solved = {}  # representative pair -> flat product
+        for i, (rho, a, da) in enumerate(reps):
+            for j in range(i, len(basis)):
+                sigma, b, db = reps[j]
+                key = (rho, sigma) if rho >= sigma else (sigma, rho)
+                got = solved.get(key)
+                if got is None:
+                    terms = self._solved(key).terms.items()
+                    got = solved[key] = tuple(x for (nu, d), c in terms for x in (pos[nu], d, c))
+                whole, r = divmod(-a - b, n)
+                dq = da + db + whole * k
+                it = iter(got)
+                terms = [(d + od + dq, q, c) for p, d, c in zip(it, it, it) for od, q in (orbit[p][r],)]
+                terms.sort()
+                if terms:
+                    if terms[-1][0] > trunc:
+                        raise OverflowError(
+                            f"q-degree {terms[-1][0]} exceeds truncation {trunc} at {basis[i]}, {basis[j]}"
+                        )
+                    if terms[0][0] < 0:
+                        raise ArithmeticError(f"q-degree {terms[0][0]} below 0 at {basis[i]}, {basis[j]}")
+                yield i, j, terms
+
     def entries(self):
         """The full table: all (lam, mu, QKElement) with lam <= mu in basis
-        order, each shifted from its representatives' product, so only the
-        R(R+1)/2 products of the R orbit representatives are solved.
-        Raises ArithmeticError if a shifted q-power leaves 0..trunc."""
-        basis, shifted = self.ctx.basis, self._shifted
-        for i, lam in enumerate(basis):
-            for mu in basis[i:]:
-                yield lam, mu, shifted(lam, mu)
+        order, read off ``_table``, so only the R(R+1)/2 products of the R
+        orbit representatives are solved.  Raises ArithmeticError if a
+        shifted q-power leaves 0..trunc."""
+        basis = self.ctx.basis
+        for i, j, terms in self._table():
+            yield basis[i], basis[j], QKElement({(basis[p], d): c for d, p, c in terms})
 
     def max_q_degree(self) -> int:
-        """Largest q-degree observed across the table."""
-        return max(
-            (elem.max_q() for _, _, elem in self.entries() if not elem.is_zero()),
-            default=0,
-        )
+        """Largest q-degree observed across the table: the last degree of
+        each sorted ``_table`` entry."""
+        return max((terms[-1][0] for _, _, terms in self._table() if terms), default=0)
 
     def dump_jsonl(self, fp) -> None:
         """One JSON record per (lam, mu) pair, in deterministic order.
 
         Each line is spelled as ``json.dumps`` spells the record
         {"lhs": lam, "rhs": mu, "terms": elem.to_obj()["terms"]} with
-        separators (",", ":"): terms sorted by q-degree, then basis order.
+        separators (",", ":"): terms sorted by q-degree, then basis order,
+        which is the order of each ``_table`` entry.
         """
-        text = {lam: ",".join(map(str, lam)) for lam in self.ctx.basis}
-        rank = {lam: i for i, lam in enumerate(self.ctx.basis)}
-        for lam, mu, elem in self.entries():
-            terms = sorted(elem.terms.items(), key=lambda t: (t[0][1], rank[t[0][0]]))
-            body = ",".join('{"q":%d,"partition":[%s],"coeff":%d}' % (d, text[nu], c) for (nu, d), c in terms)
-            fp.write('{"lhs":[%s],"rhs":[%s],"terms":[%s]}\n' % (text[lam], text[mu], body))
+        text = [",".join(map(str, lam)) for lam in self.ctx.basis]
+        term = ['{"q":%d,"partition":[' + t + '],"coeff":%d}' for t in text]
+        for i, j, terms in self._table():
+            body = ",".join([term[p] % (d, c) for d, p, c in terms])
+            fp.write('{"lhs":[%s],"rhs":[%s],"terms":[%s]}\n' % (text[i], text[j], body))
 
     def check_unit_column(self) -> None:
         """Verify that the kernel, solving the unit column, returns O^lam
@@ -360,9 +406,14 @@ def product_basis(lam, mu, ctx: GrContext) -> QKElement:
 
 def product(a: QKElement, b: QKElement, ctx: GrContext) -> QKElement:
     """Bilinear extension of the basis product, truncated at ctx.trunc; each
-    term shape is validated once, then every basis product read unchecked."""
+    term shape is validated once, then multiplied by ``_product``."""
     for lam, _ in (*a.terms, *b.terms):
         validate(lam, ctx)
+    return _product(a, b, ctx)
+
+
+def _product(a: QKElement, b: QKElement, ctx: GrContext) -> QKElement:
+    """``product`` on elements of valid shapes, unchecked."""
     prod, trunc = ctx.engine._product, ctx.trunc
     out = {}
     for (p2, d2), c2 in b.terms.items():
@@ -443,8 +494,16 @@ def verify_recursion(lam, mu, nu, d: int, ctx: GrContext) -> bool:
     Compares both factorizations of the triple product of O^lam, O^mu and
     O^nu coefficientwise through q-degree d.
     """
-    left = product(product_basis(lam, mu, ctx), QKElement.basis(nu), ctx)
-    right = product(QKElement.basis(lam), product_basis(mu, nu, ctx), ctx)
+    for p in (lam, mu, nu):
+        validate(p, ctx)
+    return _verify_recursion(lam, mu, nu, d, ctx)
+
+
+def _verify_recursion(lam, mu, nu, d: int, ctx: GrContext) -> bool:
+    """``verify_recursion`` on valid shapes, unchecked."""
+    prod = ctx.engine._product
+    left = _product(prod(lam, mu), QKElement.basis(nu), ctx)
+    right = _product(QKElement.basis(lam), prod(mu, nu), ctx)
     return left.truncated(d) == right.truncated(d)
 
 

@@ -28,7 +28,7 @@ from .qk_engine import (
     _reduce_third_row,
     _strip_third_row,
     _structure_constant,
-    verify_recursion,
+    _verify_recursion,
 )
 from .seidel import (
     H,
@@ -192,7 +192,7 @@ def _check_curve_nbhd(lam, ctx):
 
 def _check_associativity(triple, ctx):
     lam, mu, nu = triple
-    if not verify_recursion(lam, mu, nu, ctx.trunc, ctx):
+    if not _verify_recursion(lam, mu, nu, ctx.trunc, ctx):
         return (1, f"associativity fails at {lam},{mu},{nu}")
     return (1, None)
 

@@ -315,6 +315,31 @@ def test_large_lift_tables_match_pinned_digests(kk, nn):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == LARGE_LIFT_TABLE_SHA256[kk, nn]
 
 
+class _HashSink:
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode())
+
+
+def test_table_walk_holds_no_per_entry_state():
+    # what the dump allocates and frees again is the walk's own working
+    # set; a memo of formatted bodies per entry would keep them alive until
+    # the walk ends (one keyed by the shifted terms measured 25 MB here)
+    table = giambelli_lift_general(context(5, 10))
+    table.max_q_degree()  # solves every representative pair, untraced
+    sink = _HashSink()
+    tracemalloc.start()
+    try:
+        table.dump_jsonl(sink)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.hash.hexdigest() == LARGE_LIFT_TABLE_SHA256[5, 10]
+    assert peak - kept < 2_000_000, (peak, kept)
+
+
 def test_lift_tables_match_pinned_digests():
     assert len(LIFT_TABLE_SHA256) == 36
     for (kk, nn), want in LIFT_TABLE_SHA256.items():
@@ -486,28 +511,32 @@ def test_orbit_table_solves_representative_pairs_only():
 def test_orbit_table_rejects_a_corrupt_representative_product(flags):
     # O^(2,0) * O^(0,0) in Gr(2,5), the product of the fewest-row members
     # of two orbits, corrupted at q^trunc (shifts push it past trunc) and
-    # at q^-1; the range check must survive python -O
+    # at q^-1, read by each table reader on a fresh table; the range check
+    # must survive python -O
     script = (
+        "import io\n"
         "from qkgr.element import QKElement\n"
         "from qkgr.partitions import context\n"
         "from qkgr.qk_engine import giambelli_lift_general\n"
         "ctx = context(2, 5)\n"
-        "for deg in (ctx.trunc, -1):\n"
-        "    table = giambelli_lift_general(ctx)\n"
-        "    table.product_basis((2, 0), (0, 0))\n"
-        "    table._elements[(2, 0), (0, 0)] = QKElement.basis((2, 0), deg)\n"
-        "    try:\n"
-        "        list(table.entries())\n"
-        "    except ArithmeticError as exc:\n"
-        "        print(type(exc).__name__)\n"
-        "    else:\n"
-        "        print('no error')\n"
+        "readers = [lambda t: list(t.entries()), lambda t: t.dump_jsonl(io.StringIO()), lambda t: t.max_q_degree()]\n"
+        "for read in readers:\n"
+        "    for deg in (ctx.trunc, -1):\n"
+        "        table = giambelli_lift_general(ctx)\n"
+        "        table.product_basis((2, 0), (0, 0))\n"
+        "        table._elements[(2, 0), (0, 0)] = QKElement.basis((2, 0), deg)\n"
+        "        try:\n"
+        "            read(table)\n"
+        "        except ArithmeticError as exc:\n"
+        "            print(type(exc).__name__)\n"
+        "        else:\n"
+        "            print('no error')\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["OverflowError", "ArithmeticError"]
+    assert proc.stdout.split() == ["OverflowError", "ArithmeticError"] * 3
 
 
 def test_orbit_tables_have_euler_characteristic_q_to_d_min():

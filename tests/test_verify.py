@@ -219,7 +219,7 @@ _BROKEN = [
     ("duality", 2, 5, "dual", _identity, "duality broke "),
     ("curve-nbhd", 2, 5, "rim_peel", _identity, "rim peeling differs from row/column removal at "),
     ("curve-nbhd", 2, 5, "gamma_special", lambda mv, d, ctx: None, "two-pointed neighborhood mismatch at "),
-    ("associativity", 2, 5, "verify_recursion", lambda *args: False, "associativity fails at "),
+    ("associativity", 2, 5, "_verify_recursion", lambda *args: False, "associativity fails at "),
 ]
 
 
@@ -269,7 +269,8 @@ def test_context_is_one_object_per_ring():
 
 
 @pytest.mark.parametrize(
-    "suite, k, n", [("gr3n-rule", 3, 6), ("reductions", 3, 6), ("duality", 2, 6), ("positivity", 3, 6)]
+    "suite, k, n",
+    [("gr3n-rule", 3, 6), ("reductions", 3, 6), ("duality", 2, 6), ("positivity", 3, 6), ("associativity", 3, 6)],
 )
 def test_sweeps_do_not_validate_per_check(monkeypatch, suite, k, n):
     # items come from ctx.basis, so the checkers call the unvalidated cores;
