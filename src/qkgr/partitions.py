@@ -8,7 +8,6 @@ k-tuples with entries in [1, n].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import product as iterproduct
 
@@ -16,7 +15,6 @@ Partition = tuple
 JumpSequence = tuple
 
 
-@dataclass(frozen=True)
 class GrContext:
     """Ambient parameters for Gr(k, n) computations.
 
@@ -27,28 +25,47 @@ class GrContext:
 
     The context owns its ring's basis, Seidel orbit table and default
     engine, each built on first use, and ``width`` = n - k, stored once.
-    They are set with ``object.__setattr__``, not
-    ``functools.cached_property``: touching ``__dict__`` would take the
-    fields out of CPython's inline layout and slow every ``ctx.k`` read.
-    No validation is recorded here: ``validate`` runs in full on every call.
+    Contexts compare and hash by (k, n, trunc), and assigning or deleting
+    an attribute raises AttributeError.
+
+    A plain class rather than a frozen dataclass: importing ``dataclasses``
+    pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, about 1 MB and
+    20 ms that every ``qkgr`` process would pay for six short methods.
+    There are no ``__slots__``: every field, the lazily built ones
+    included, lives in the instance dict (``vars(ctx)``), set with
+    ``object.__setattr__``, not ``functools.cached_property``: touching
+    ``__dict__`` would take the fields out of CPython's inline layout and
+    slow every ``ctx.k`` read.  No validation is recorded here:
+    ``validate`` runs in full on every call.
     """
 
-    k: int
-    n: int
-    trunc: int
-    width: int = field(init=False, compare=False, repr=False)
-    orbits: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _basis = None
     _engine = None
 
-    def __post_init__(self):
-        if not 1 <= self.k < self.n:
-            raise ValueError(f"need 1 <= k < n, got k={self.k}, n={self.n}")
-        if self.trunc < min(self.k, self.n - self.k) + 1:
-            raise ValueError(
-                f"truncation {self.trunc} below min(k, n-k)+1 for Gr({self.k}, {self.n})"
-            )
-        object.__setattr__(self, "width", self.n - self.k)
+    def __init__(self, k: int, n: int, trunc: int):
+        if not 1 <= k < n:
+            raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+        if trunc < min(k, n - k) + 1:
+            raise ValueError(f"truncation {trunc} below min(k, n-k)+1 for Gr({k}, {n})")
+        for name, value in (("k", k), ("n", n), ("trunc", trunc), ("width", n - k), ("orbits", {})):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.k, self.n, self.trunc) == (other.k, other.n, other.trunc)
+
+    def __hash__(self):
+        return hash((self.k, self.n, self.trunc))
+
+    def __repr__(self):
+        return f"GrContext(k={self.k!r}, n={self.n!r}, trunc={self.trunc!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to GrContext field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete GrContext field {name!r}")
 
     @property
     def basis(self) -> tuple[Partition, ...]:

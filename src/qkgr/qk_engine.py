@@ -194,6 +194,10 @@ class LiftEngine:
         ``product_basis``, and lets tests check commutativity for real."""
         validate(row, self.ctx)
         validate(col, self.ctx)
+        return self._via_column(row, col)
+
+    def _via_column(self, row, col) -> QKElement:
+        """``product_via_column`` on valid shapes, unchecked."""
         rid, mid = self._intern(row), self._intern(col)
         return self._element(self._solve_column(mid, rid)[rid])
 
@@ -222,9 +226,7 @@ class LiftEngine:
         """
         got = self._elements.get(key)
         if got is None:
-            row, col = sorted(key, key=_rank)
-            rid, mid = self._intern(row), self._intern(col)
-            got = self._elements[key] = self._element(self._solve_column(mid, rid)[rid])
+            got = self._elements[key] = self._via_column(*sorted(key, key=_rank))
         return got
 
     def _shifted(self, lam, mu) -> QKElement:

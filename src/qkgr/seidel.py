@@ -60,6 +60,11 @@ def d_min(lam, mu, ctx: GrContext) -> tuple[int, int]:
     """
     validate(lam, ctx)
     validate(mu, ctx)
+    return _d_min(lam, mu, ctx)
+
+
+def _d_min(lam, mu, ctx: GrContext) -> tuple[int, int]:
+    """``d_min`` on valid shapes, unchecked."""
     n, k = ctx.n, ctx.k
     vals = [seidel_power(lam, i, ctx)[0] + seidel_power(mu, n - i, ctx)[0] - k for i in range(n)]
     best = max(vals)

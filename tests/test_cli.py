@@ -241,12 +241,14 @@ def test_console_script():
 def test_product_needs_no_array_libraries():
     # the package declares no runtime dependencies; a cold product must not
     # pull in numpy or scipy, whose import alone costs more than the product,
-    # nor multiprocessing, which only a verify pool needs
+    # nor multiprocessing, which only a verify pool needs, nor dataclasses,
+    # which imports inspect (and ast, dis, tokenize) for GrContext's methods
     script = (
         "import sys\n"
         "from qkgr.cli import main\n"
         "code = main(['product', '-k', '4', '-n', '8', '--lhs', '3,2,1', '--rhs', '2,2,1', '--json'])\n"
-        "print(code, sorted(m for m in ('numpy', 'scipy', 'multiprocessing') if m in sys.modules))\n"
+        "heavy = ('numpy', 'scipy', 'multiprocessing', 'dataclasses', 'inspect')\n"
+        "print(code, sorted(m for m in heavy if m in sys.modules))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -66,6 +66,20 @@ def test_context_validation():
     assert context(2, 5, 6).trunc == 6
 
 
+def test_context_is_immutable_and_compares_by_ring():
+    ctx = GrContext(k=3, n=8, trunc=4)
+    assert ctx == context(3, 8) and (ctx.k, ctx.n, ctx.trunc, ctx.width) == (3, 8, 4, 5)
+    assert ctx != GrContext(3, 8, 5) and hash(ctx) != hash(GrContext(3, 8, 5))
+    assert (ctx == (3, 8, 4)) is False
+    for name in ("k", "width", "orbits", "new_field"):
+        with pytest.raises(AttributeError):
+            setattr(ctx, name, 1)
+    for name in ("k", "width", "orbits"):
+        with pytest.raises(AttributeError):
+            delattr(ctx, name)
+    assert vars(ctx) == {"k": 3, "n": 8, "trunc": 4, "width": 5, "orbits": {}}
+
+
 def test_normalize_and_parse():
     assert normalize((3, 1, 1), context(4, 9)) == (3, 1, 1, 0)
     assert parse_partition("3,2,1", C36) == (3, 2, 1)
