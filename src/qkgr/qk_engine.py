@@ -11,8 +11,9 @@ representatives rho and sigma,
 so ``LiftEngine`` solves only products of two representatives, each once,
 and shifts.  ``LiftEngine._rep`` holds that rule and ``LiftEngine._solved``
 the representatives' products; ``product_basis`` (through ``_shifted``)
-and the full table (through ``_table``, which shifts on basis positions)
-both read them.  ``GrContext.engine`` is a ``LiftEngine`` for every k.
+and the full table (through ``_table``, which shifts on basis positions
+and packs each term into one sortable int) both read them.
+``GrContext.engine`` is a ``LiftEngine`` for every k.
 
 ``LiftEngine`` solves one column O^mu of the multiplication table by one
 quantum Pieri step per class (Buch-Mihalcea).  With
@@ -255,48 +256,67 @@ class LiftEngine:
         validate(mu, self.ctx)
         return self._product(lam, mu)
 
-    def _table(self):
-        """Yield (i, j, terms) for every pair i <= j of basis positions, with
-        O^basis[i] * O^basis[j] as a sorted list of (q-degree, basis
-        position, coeff) tuples.
+    def _table(self, coeffs: list):
+        """Yield (i, j, keys, store) for every pair i <= j of basis positions,
+        with O^basis[i] * O^basis[j] as a sorted list of packed int keys.
 
         Each entry is q^(d_a + d_b) T^(-a-b) applied to its representatives'
-        product (see ``_shifted``), read on positions: ``orbit[p][r]`` is
-        (d_r, position of basis[p] up r), copied from ``seidel_orbit``, and
-        each representative pair's product is turned into one flat tuple
-        (position, q-degree, coeff, ...) once per walk, a third of the
-        memory of a tuple per term.  T^r is a bijection on (class, q-degree)
-        pairs, so the shifted terms stay distinct, and sorting puts their
-        degrees at the two ends: OverflowError if the last is above trunc,
-        ArithmeticError if the first is below 0.
+        product (see ``_shifted``), read on positions.  Each representative
+        pair's product is turned once per walk into one flat ``store`` tuple
+        (position, q-degree, coefficient index, ...) of shared small ints; a
+        coefficient index points into ``coeffs``, to which the walk appends
+        each coefficient the first time it meets it.  ``shift[r][p]`` is
+        d_r * N + (position of basis[p] up r), N = C(n, k), copied from
+        ``seidel_orbit``, so each term of an entry is the one int
+
+            (q-degree * N + position) * len(store) + x,
+
+        x the index of the term's coefficient index in ``store``: the keys
+        sort by q-degree, then basis position, and ``key // len(store)`` and
+        ``store[key % len(store)]`` read them back.  T^r is a bijection on
+        (class, q-degree) pairs, so the shifted terms stay distinct, and
+        sorting puts their degrees at the two ends: OverflowError if the
+        last is above trunc, ArithmeticError if the first is below 0.
         """
         ctx = self.ctx
         basis, n, k, trunc = ctx.basis, ctx.n, ctx.k, ctx.trunc
+        size = len(basis)
         pos = {lam: i for i, lam in enumerate(basis)}
-        orbit = [tuple((d, pos[up]) for d, up in seidel_orbit(lam, ctx)) for lam in basis]
-        reps = [self._rep(lam) for lam in basis]
-        solved = {}  # representative pair -> flat product
-        for i, (rho, a, da) in enumerate(reps):
-            for j in range(i, len(basis)):
-                sigma, b, db = reps[j]
-                key = (rho, sigma) if rho >= sigma else (sigma, rho)
-                got = solved.get(key)
-                if got is None:
-                    terms = self._solved(key).terms.items()
-                    got = solved[key] = tuple(x for (nu, d), c in terms for x in (pos[nu], d, c))
+        shift = [[] for _ in range(n)]
+        for lam in basis:
+            for r, (d, up) in enumerate(seidel_orbit(lam, ctx)):
+                shift[r].append(d * size + pos[up])
+        index = {}  # coefficient -> its index in coeffs
+        reps = [(pos[rho], a, da) for rho, a, da in map(self._rep, basis)]
+        solved = {}  # representatives' positions, as ri * N + rj with ri >= rj -> store
+        for i, (ri, a, da) in enumerate(reps):
+            for j, (rj, b, db) in enumerate(reps[i:], i):
+                pair = ri * size + rj if ri >= rj else rj * size + ri
+                store = solved.get(pair)
+                if store is None:
+                    rho, sigma = basis[pair // size], basis[pair % size]
+                    key = (rho, sigma) if rho >= sigma else (sigma, rho)
+                    flat = []
+                    for (nu, d), c in self._solved(key).terms.items():
+                        ci = index.get(c)
+                        if ci is None:
+                            ci = index[c] = len(coeffs)
+                            coeffs.append(c)
+                        flat += (pos[nu], d, ci)
+                    store = solved[pair] = tuple(flat)
                 whole, r = divmod(-a - b, n)
-                dq = da + db + whole * k
-                it = iter(got)
-                terms = [(d + od + dq, q, c) for p, d, c in zip(it, it, it) for od, q in (orbit[p][r],)]
-                terms.sort()
-                if terms:
-                    if terms[-1][0] > trunc:
-                        raise OverflowError(
-                            f"q-degree {terms[-1][0]} exceeds truncation {trunc} at {basis[i]}, {basis[j]}"
-                        )
-                    if terms[0][0] < 0:
-                        raise ArithmeticError(f"q-degree {terms[0][0]} below 0 at {basis[i]}, {basis[j]}")
-                yield i, j, terms
+                row, span = shift[r], len(store)
+                base = (da + db + whole * k) * size
+                it = iter(store)
+                slots = range(2, span, 3)
+                keys = sorted([(row[p] + d * size + base) * span + x for x, p, d, _ in zip(slots, it, it, it)])
+                if keys:
+                    top = keys[-1] // (size * span)
+                    if top > trunc:
+                        raise OverflowError(f"q-degree {top} exceeds truncation {trunc} at {basis[i]}, {basis[j]}")
+                    if keys[0] < 0:
+                        raise ArithmeticError(f"q-degree {keys[0] // (size * span)} below 0 at {basis[i]}, {basis[j]}")
+                yield i, j, keys, store
 
     def entries(self):
         """The full table: all (lam, mu, QKElement) with lam <= mu in basis
@@ -304,13 +324,18 @@ class LiftEngine:
         orbit representatives are solved.  Raises ArithmeticError if a
         shifted q-power leaves 0..trunc."""
         basis = self.ctx.basis
-        for i, j, terms in self._table():
-            yield basis[i], basis[j], QKElement({(basis[p], d): c for d, p, c in terms})
+        size = len(basis)
+        coeffs = []
+        for i, j, keys, store in self._table(coeffs):
+            span = len(store)
+            terms = {(basis[key // span % size], key // span // size): coeffs[store[key % span]] for key in keys}
+            yield basis[i], basis[j], QKElement(terms)
 
     def max_q_degree(self) -> int:
-        """Largest q-degree observed across the table: the last degree of
-        each sorted ``_table`` entry."""
-        return max((terms[-1][0] for _, _, terms in self._table() if terms), default=0)
+        """Largest q-degree observed across the table: the degree of the
+        last key of each ``_table`` entry."""
+        size = len(self.ctx.basis)
+        return max((keys[-1] // (size * len(store)) for _, _, keys, store in self._table([]) if keys), default=0)
 
     def dump_jsonl(self, fp) -> None:
         """One JSON record per (lam, mu) pair, in deterministic order.
@@ -318,22 +343,32 @@ class LiftEngine:
         Each line is spelled as ``json.dumps`` spells the record
         {"lhs": lam, "rhs": mu, "terms": elem.to_obj()["terms"]} with
         separators (",", ":"): terms sorted by q-degree, then basis order,
-        which is the order of each ``_table`` entry.
+        which is the order of each ``_table`` entry.  A term is the text
+        ``{"q":d,"partition":[...],"coeff":`` of its (q-degree, position),
+        from a table of (trunc + 1) * C(n, k) such prefixes, followed by its
+        coefficient's text ``c}``, spelled once per distinct coefficient.
         """
-        text = [",".join(map(str, lam)) for lam in self.ctx.basis]
-        term = ['{"q":%d,"partition":[' + t + '],"coeff":%d}' for t in text]
-        for i, j, terms in self._table():
-            body = ",".join([term[p] % (d, c) for d, p, c in terms])
+        ctx = self.ctx
+        text = [",".join(map(str, lam)) for lam in ctx.basis]
+        prefix = ['{"q":%d,"partition":[%s],"coeff":' % (d, t) for d in range(ctx.trunc + 1) for t in text]
+        coeffs, spelled = [], []
+        for i, j, keys, store in self._table(coeffs):
+            if len(spelled) < len(coeffs):
+                spelled += ["%d}" % c for c in coeffs[len(spelled) :]]
+            span = len(store)
+            body = ",".join([prefix[key // span] + spelled[store[key % span]] for key in keys])
             fp.write('{"lhs":[%s],"rhs":[%s],"terms":[%s]}\n' % (text[i], text[j], body))
 
     def check_unit_column(self) -> None:
         """Verify that the kernel, solving the unit column, returns O^lam
-        for every lam: each step's correction must cancel its other terms."""
-        zero = _zero(self.ctx)
+        for every lam: each step's correction must cancel its other terms.
+        The classes come from ``ctx.basis``, so they are solved through the
+        unvalidated core and compared on ids."""
         for lam in self.ctx.basis:
-            got = self.product_via_column(lam, zero)
-            if got != QKElement.basis(lam):
-                raise ArithmeticError(f"lift does not return O^{lam} on the unit column: {got}")
+            rid = self._intern(lam)
+            got = self._solve_column(0, rid)[rid]
+            if got != {rid: 1}:
+                raise ArithmeticError(f"lift does not return O^{lam} on the unit column: {self._element(got)}")
 
 
 def giambelli_gr3(mu, ctx: GrContext) -> list[tuple[int, tuple]]:

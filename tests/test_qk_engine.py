@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from qkgr.element import QKElement
-from qkgr.partitions import all_partitions, context, dual, seidel_orbit, seidel_power, size
-from qkgr.pieri import quantum_pieri
+from qkgr.partitions import all_partitions, context, dual, seidel_orbit, seidel_power, size, validate
+from qkgr.pieri import quantum_pieri, quantum_terms
 from qkgr.qk_engine import (
     Gr3Engine,
     LiftEngine,
@@ -305,6 +305,9 @@ LIFT_TABLE_SHA256 = {
 LARGE_LIFT_TABLE_SHA256 = {
     (4, 10): "a98ca45f52d36faad585e2c36f35476e1041827c43ce97dc55658b34854760ee",
     (5, 10): "ca92f4e2684dc46eefea3115d2d61f6867cb6b958f79f7e845ba04d208ab164a",
+    # recorded from the walk on (q-degree, position, coeff) tuples; with
+    # 330 classes, positions and keys are not all CPython's cached small ints
+    (4, 11): "602353d135c20b2f7d8f7c9239d97fbe93cc360bf0112a5a87d0fe5283740612",
 }
 
 
@@ -369,6 +372,30 @@ def test_check_unit_column_catches_a_bad_expansion():
     eng._steps[rid] = (tid, ((c, a + 1), *rest))
     with pytest.raises(ArithmeticError):
         eng.check_unit_column()
+
+
+def test_table_build_and_dump_validate_only_on_storage_misses(monkeypatch):
+    # the classes come from ctx.basis, so the unit-column check and the walk
+    # call unvalidated cores; validate runs only where a class is first
+    # interned, its orbit first stored or its Pieri terms first cached
+    ctx = context(4, 9)
+    calls = []
+
+    def counted(lam, ctx):
+        calls.append(lam)
+        return validate(lam, ctx)
+
+    bound = [
+        name for name, mod in sys.modules.items() if name.startswith("qkgr.") and vars(mod).get("validate") is validate
+    ]
+    assert {"qkgr.partitions", "qkgr.qk_engine"} <= set(bound)
+    for name in bound:
+        monkeypatch.setattr(f"{name}.validate", counted)
+    orbits, pieri = len(ctx.orbits), quantum_terms.cache_info().misses
+    table = giambelli_lift_general(ctx)
+    table.dump_jsonl(io.StringIO())
+    misses = len(table._parts) + len(ctx.orbits) - orbits + quantum_terms.cache_info().misses - pieri
+    assert len(calls) <= misses, (len(calls), misses)
 
 
 def test_pieri_steps_are_unitriangular_and_q_free():
@@ -548,8 +575,11 @@ def test_orbit_tables_have_euler_characteristic_q_to_d_min():
 
 
 def test_table_dump_is_spelled_as_json_dumps():
-    # dump_jsonl formats each line by hand; json.dumps is the reference
-    for table in (giambelli_lift_general(C24), giambelli_lift_general(C36)):
+    # dump_jsonl formats each line by hand; json.dumps is the reference.
+    # Gr(3,7) at trunc 6 is above its default truncation 4, which sizes the
+    # dump's table of term prefixes
+    for ctx in (C24, C36, context(3, 7, 6)):
+        table = giambelli_lift_general(ctx)
         buf = io.StringIO()
         table.dump_jsonl(buf)
         lines = buf.getvalue().split("\n")
@@ -562,3 +592,4 @@ def test_table_dump_is_spelled_as_json_dumps():
             want = {"lhs": list(lam), "rhs": list(mu), "terms": elem.to_obj()["terms"]}
             assert line == json.dumps(want, separators=(",", ":"))
             assert QKElement.from_obj(rec) == elem == table.product_basis(lam, mu)
+        assert table.max_q_degree() == max(d for _, _, elem in entries for _, d in elem.terms)
