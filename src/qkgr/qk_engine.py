@@ -10,9 +10,10 @@ representatives rho and sigma,
 
 so ``LiftEngine`` solves only products of two representatives, each once,
 and shifts.  ``LiftEngine._rep`` holds that rule and ``LiftEngine._solved``
-the representatives' products; ``product_basis`` (through ``_shifted``)
-and the full table (through ``_table``, which shifts on basis positions
-and packs each term into one sortable int) both read them.
+reads the representatives' products from their solved columns, their one
+store; ``product_basis`` (through ``_shifted``) and the full table
+(through ``_table``, which shifts on basis positions and packs each term
+into one sortable int) both read them.
 ``GrContext.engine`` is a ``LiftEngine`` for every k.
 
 ``LiftEngine`` solves one column O^mu of the multiplication table by one
@@ -95,7 +96,7 @@ class LiftEngine:
         self._steps = {}  # id -> (tail id, ((id, coeff), ...)), diagonal left out
         self._columns = {}  # column id -> {id: solved product vector}
         self._reps = {}  # partition -> (rho, a, d_a), see _rep
-        self._elements = {}  # (lam, mu) with lam >= mu -> O^lam * O^mu
+        self._elements = {}  # _product's (lam, mu) with lam >= mu -> O^lam * O^mu
         self._intern(_zero(ctx))
 
     def _intern(self, lam) -> int:
@@ -199,8 +200,12 @@ class LiftEngine:
 
     def _via_column(self, row, col) -> QKElement:
         """``product_via_column`` on valid shapes, unchecked."""
+        return self._element(self._vector(row, col))
+
+    def _vector(self, row, col) -> dict:
+        """O^row * O^col as the live solved vector in the col-column."""
         rid, mid = self._intern(row), self._intern(col)
-        return self._element(self._solve_column(mid, rid)[rid])
+        return self._solve_column(mid, rid)[rid]
 
     def _rep(self, lam) -> tuple:
         """(rho, a, d_a) with T^a O^lam = q^(d_a) O^rho, rho the member of
@@ -217,27 +222,23 @@ class LiftEngine:
             got = self._reps[lam]
         return got
 
-    def _solved(self, key) -> QKElement:
-        """O^rho * O^sigma for a pair key = (rho, sigma) of representatives,
-        rho >= sigma, solved once into ``_elements``.
-
-        The row is the one of lower ``_rank``, the one whose walk reads
-        fewer classes.  A rectangle's representative is (0), so its product
-        is the unit solved in the other column.
+    def _solved(self, rho, sigma) -> dict:
+        """O^rho * O^sigma for two representatives, as the live vector of
+        its column, its one store.  The row is the one of lower ``_rank``
+        (its walk reads fewer classes), then the larger.  A rectangle's
+        representative is (0), so its product is the unit solved in the
+        other column.
         """
-        got = self._elements.get(key)
-        if got is None:
-            got = self._elements[key] = self._via_column(*sorted(key, key=_rank))
-        return got
+        return self._vector(*sorted((rho, sigma) if rho >= sigma else (sigma, rho), key=_rank))
 
     def _shifted(self, lam, mu) -> QKElement:
-        """O^lam * O^mu, unvalidated, as q^(d_a + d_b) T^(-a-b) (O^rho * O^sigma)
-        with the representatives' product from ``_solved``.  Raises
+        """O^lam * O^mu, unvalidated, as q^(d_a + d_b) T^(-a-b) (O^rho * O^sigma),
+        a fresh element built from the vector ``_solved`` reads.  Raises
         ArithmeticError if a shifted q-power leaves 0..trunc.
         """
         rho, a, da = self._rep(lam)
         sigma, b, db = self._rep(mu)
-        got = self._solved((rho, sigma) if rho >= sigma else (sigma, rho))
+        got = self._element(self._solved(rho, sigma))
         if a + b or da + db:
             got = _shift_terms(got, -a - b, da + db, self.ctx)
         return got
@@ -262,8 +263,8 @@ class LiftEngine:
 
         Each entry is q^(d_a + d_b) T^(-a-b) applied to its representatives'
         product (see ``_shifted``), read on positions.  Each representative
-        pair's product is turned once per walk into one flat ``store`` tuple
-        (position, q-degree, coefficient index, ...) of shared small ints; a
+        pair's solved vector is read once per walk into one flat ``store``
+        tuple (position, q-degree, coefficient index, ...) of shared ints; a
         coefficient index points into ``coeffs``, to which the walk appends
         each coefficient the first time it meets it.  ``shift[r][p]`` is
         d_r * N + (position of basis[p] up r), N = C(n, k), copied from
@@ -278,7 +279,7 @@ class LiftEngine:
         sorting puts their degrees at the two ends: OverflowError if the
         last is above trunc, ArithmeticError if the first is below 0.
         """
-        ctx = self.ctx
+        ctx, parts = self.ctx, self._parts
         basis, n, k, trunc = ctx.basis, ctx.n, ctx.k, ctx.trunc
         size = len(basis)
         pos = {lam: i for i, lam in enumerate(basis)}
@@ -294,15 +295,14 @@ class LiftEngine:
                 pair = ri * size + rj if ri >= rj else rj * size + ri
                 store = solved.get(pair)
                 if store is None:
-                    rho, sigma = basis[pair // size], basis[pair % size]
-                    key = (rho, sigma) if rho >= sigma else (sigma, rho)
                     flat = []
-                    for (nu, d), c in self._solved(key).terms.items():
+                    for key, c in self._solved(basis[pair // size], basis[pair % size]).items():
+                        d, t = divmod(key, size)
                         ci = index.get(c)
                         if ci is None:
                             ci = index[c] = len(coeffs)
                             coeffs.append(c)
-                        flat += (pos[nu], d, ci)
+                        flat += (pos[parts[t]], d, ci)
                     store = solved[pair] = tuple(flat)
                 whole, r = divmod(-a - b, n)
                 row, span = shift[r], len(store)
@@ -364,10 +364,10 @@ class LiftEngine:
         for every lam: each step's correction must cancel its other terms.
         The classes come from ``ctx.basis``, so they are solved through the
         unvalidated core and compared on ids."""
+        unit = _zero(self.ctx)
         for lam in self.ctx.basis:
-            rid = self._intern(lam)
-            got = self._solve_column(0, rid)[rid]
-            if got != {rid: 1}:
+            got = self._vector(lam, unit)
+            if got != {self._ids[lam]: 1}:
                 raise ArithmeticError(f"lift does not return O^{lam} on the unit column: {self._element(got)}")
 
 

@@ -10,10 +10,10 @@ basis shape or a shift or dual of one, so checkers call unvalidated cores.
 A sweep's memory grows with what its engines keep, so each checker reads a
 product the way its item order reuses it.  ``gr3n-rule`` and
 ``positivity`` read each pair product once, through the uncached
-``LiftEngine._shifted``: only the orbit representatives' products stay in
-``ctx.engine``.  ``reductions``, ``duality``, ``associativity`` and the
-shifted side of ``dmin`` reread products, through the caching
-``LiftEngine._product``.
+``LiftEngine._shifted``: only the solved columns, which hold the orbit
+representatives' products, stay in ``ctx.engine``.  ``reductions``,
+``duality``, ``associativity`` and the shifted side of ``dmin`` reread
+products, through the caching ``LiftEngine._product``.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ def _constant(tup, ctx):
 # from it rather than from the shifting ctx.engine.  The ring's ctx.engine
 # outlives the run: the checkers that read each product once (gr3n-rule,
 # positivity) use its uncached _shifted, so the run leaves behind only the
-# representatives' products; those that reread (reductions, duality,
-# associativity, dmin) fill its pair cache through _product.
+# columns holding the representatives' products; those that reread (dmin,
+# reductions, duality, associativity) fill its pair cache through _product.
 _WORKER: dict = {}
 
 

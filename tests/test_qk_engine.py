@@ -530,19 +530,54 @@ def test_orbit_table_solves_representative_pairs_only():
     r = len(orbits)
     assert r == 14
     table = giambelli_lift_general(ctx)
+    read, solved = [], table._solved
+
+    def spy(rho, sigma):
+        read.append((rho, sigma, solved(rho, sigma)))
+        return read[-1][2]
+
+    table._solved = spy
     table.dump_jsonl(io.StringIO())
-    assert len(table._elements) == r * (r + 1) // 2
+    assert len(read) == len({frozenset(pair) for *pair, _ in read}) == r * (r + 1) // 2
+    # each is the solved vector in its column, not a copy
+    live = {id(vec) for col in table._columns.values() for vec in col.values()}
+    for rho, sigma, vec in read:
+        assert table._rep(rho)[0] == rho and table._rep(sigma)[0] == sigma
+        assert id(vec) in live
+
+
+def test_table_readers_keep_no_pair_elements():
+    # the representatives' products stay in their columns; _elements is
+    # the pair cache of _product alone
+    table = giambelli_lift_general(context(4, 9))
+    list(table.entries())
+    table.dump_jsonl(io.StringIO())
+    table.max_q_degree()
+    assert table._elements == {}
+
+
+def test_table_reads_solved_vectors_by_basis_position():
+    # an engine hands out ids in the order it meets classes, so the walk
+    # maps each id to its basis position; these two products intern 70
+    # classes first, in an order the unit-column check never produces
+    ctx = context(4, 9)
+    eng = LiftEngine(ctx)
+    eng.product_basis((5, 4, 3, 1), (4, 4, 2, 2))
+    eng.product_basis((3, 3, 1, 0), (5, 2, 1, 1))
+    assert len(eng._parts) == 70 and eng._parts != list(ctx.basis[:70])
+    sink = _HashSink()
+    eng.dump_jsonl(sink)
+    assert sink.hash.hexdigest() == LIFT_TABLE_SHA256[4, 9]
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_orbit_table_rejects_a_corrupt_representative_product(flags):
     # O^(2,0) * O^(0,0) in Gr(2,5), the product of the fewest-row members
-    # of two orbits, corrupted at q^trunc (shifts push it past trunc) and
-    # at q^-1, read by each table reader on a fresh table; the range check
-    # must survive python -O
+    # of two orbits, corrupted in its column at q^trunc (shifts push it
+    # past trunc) and at q^-1, read by each table reader on a fresh table;
+    # the range check must survive python -O
     script = (
         "import io\n"
-        "from qkgr.element import QKElement\n"
         "from qkgr.partitions import context\n"
         "from qkgr.qk_engine import giambelli_lift_general\n"
         "ctx = context(2, 5)\n"
@@ -550,8 +585,9 @@ def test_orbit_table_rejects_a_corrupt_representative_product(flags):
         "for read in readers:\n"
         "    for deg in (ctx.trunc, -1):\n"
         "        table = giambelli_lift_general(ctx)\n"
-        "        table.product_basis((2, 0), (0, 0))\n"
-        "        table._elements[(2, 0), (0, 0)] = QKElement.basis((2, 0), deg)\n"
+        "        vec = table._solved((2, 0), (0, 0))\n"
+        "        vec.clear()\n"
+        "        vec[deg * table._stride + table._ids[2, 0]] = 1\n"
         "        try:\n"
         "            read(table)\n"
         "        except ArithmeticError as exc:\n"

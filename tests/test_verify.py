@@ -353,8 +353,9 @@ def test_positivity_sweep_keeps_no_pair_products():
 
 
 def test_gr3n_rule_sweep_keeps_no_pair_products():
-    # 1,596 pairs; ctx.engine keeps the representatives' products and the
-    # stripped pairs the rule delegates to (231 here), not every pair
+    # 1,596 pairs; ctx.engine's pair cache keeps only the stripped pairs the
+    # rule delegates to (231 here), not every pair; the representatives'
+    # products stay in their solved columns, outside the pair cache
     got = _fresh(
         "import json\n"
         "from qkgr.partitions import context\n"
