@@ -233,15 +233,14 @@ class LiftEngine:
 
     def _shifted(self, lam, mu) -> QKElement:
         """O^lam * O^mu, unvalidated, as q^(d_a + d_b) T^(-a-b) (O^rho * O^sigma),
-        a fresh element built from the vector ``_solved`` reads.  Raises
-        ArithmeticError if a shifted q-power leaves 0..trunc.
+        a fresh element shifted in one pass from the vector ``_solved``
+        reads.  Raises ArithmeticError if a shifted q-power leaves 0..trunc.
         """
         rho, a, da = self._rep(lam)
         sigma, b, db = self._rep(mu)
-        got = self._element(self._solved(rho, sigma))
-        if a + b or da + db:
-            got = _shift_terms(got, -a - b, da + db, self.ctx)
-        return got
+        parts, stride = self._parts, self._stride
+        terms = (((parts[t % stride], t // stride), c) for t, c in self._solved(rho, sigma).items())
+        return _shift_terms(terms, -a - b, da + db, self.ctx)
 
     def _product(self, lam, mu) -> QKElement:
         """O^lam * O^mu, unvalidated, cached by the unordered pair."""
@@ -434,7 +433,7 @@ class Gr3Engine:
         validate(lam, ctx)
         validate(mu, ctx)
         elem = self._recipe(_strip_third_row(lam), _strip_third_row(mu))
-        return _shift_terms(elem, lam[2] + mu[2], 0, ctx)
+        return _shift_terms(elem.terms.items(), lam[2] + mu[2], 0, ctx)
 
 
 def product_basis(lam, mu, ctx: GrContext) -> QKElement:
@@ -484,7 +483,8 @@ def reduce_third_row(lam, mu, nu, d: int, ctx: GrContext):
 
     Returns (lam', mu', nu', d') indexing an equal structure constant with
     both third rows empty; a negative d' signals that the requested (nu, d)
-    coefficient is zero.  The sign (-1)^(|lam|+|mu|+|nu|+d*n) is preserved.
+    coefficient is zero, which the ``reductions`` sweep checks.  The sign
+    (-1)^(|lam|+|mu|+|nu|+d*n) is preserved.
     """
     if ctx.k != 3:
         raise ValueError("reduce_third_row needs k = 3")

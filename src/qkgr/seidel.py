@@ -22,14 +22,15 @@ from .partitions import (
 )
 
 
-def _shift_terms(elem: QKElement, r: int, dq: int, ctx: GrContext) -> QKElement:
-    """q^dq T^r applied linearly, for any integers r and dq.
+def _shift_terms(terms, r: int, dq: int, ctx: GrContext) -> QKElement:
+    """q^dq T^r applied linearly to ((lam, d), coeff) pairs, for any
+    integers r and dq.
 
     Raises OverflowError (an ArithmeticError) on a q-degree above the
     truncation, and ArithmeticError on one below 0.
     """
     out = {}
-    for (lam, d), c in elem.terms.items():
+    for (lam, d), c in terms:
         dd, nu = seidel_power(lam, r, ctx)
         dnew = d + dd + dq
         if dnew > ctx.trunc:
@@ -44,11 +45,11 @@ def _shift_terms(elem: QKElement, r: int, dq: int, ctx: GrContext) -> QKElement:
 
 
 def T(elem: QKElement, ctx: GrContext) -> QKElement:
-    return _shift_terms(elem, 1, 0, ctx)
+    return _shift_terms(elem.terms.items(), 1, 0, ctx)
 
 
 def H(elem: QKElement, ctx: GrContext) -> QKElement:
-    return _shift_terms(elem, -1, 1, ctx)
+    return _shift_terms(elem.terms.items(), -1, 1, ctx)
 
 
 def d_min(lam, mu, ctx: GrContext) -> tuple[int, int]:

@@ -12,8 +12,8 @@ product the way its item order reuses it.  ``gr3n-rule`` and
 ``positivity`` read each pair product once, through the uncached
 ``LiftEngine._shifted``: only the solved columns, which hold the orbit
 representatives' products, stay in ``ctx.engine``.  ``reductions``,
-``duality``, ``associativity`` and the shifted side of ``dmin`` reread
-products, through the caching ``LiftEngine._product``.
+``associativity`` and the shifted side of ``dmin`` reread products,
+through the caching ``LiftEngine._product``.
 """
 
 from __future__ import annotations
@@ -49,22 +49,15 @@ from .seidel import (
     reduce_lemred,
 )
 
-def _constant(tup, ctx):
-    lam, mu, nu, d = tup
-    if d < 0 or d > ctx.trunc:
-        return None
-    return _structure_constant(lam, mu, nu, d, ctx)
-
 
 # _run_chunk reads the items, the checker and the context from _WORKER so
 # that a fork-based pool can reach them without pickling.  The run's own
 # LiftEngine sits there too: its _via_column solves a pair as typed, with no
-# Seidel shift, so the checks of a shift identity read their unshifted side
-# from it rather than from the shifting ctx.engine.  The ring's ctx.engine
-# outlives the run: the checkers that read each product once (gr3n-rule,
-# positivity) use its uncached _shifted, so the run leaves behind only the
-# columns holding the representatives' products; those that reread (dmin,
-# reductions, duality, associativity) fill its pair cache through _product.
+# Seidel shift, so a shift identity reads its unshifted side from it, not
+# from the shifting ctx.engine, which outlives the run.  gr3n-rule and
+# positivity read each product once, through its uncached _shifted, and leave
+# only the solved columns; dmin, reductions and associativity reread, and
+# fill its pair cache through _product.
 _WORKER: dict = {}
 
 
@@ -129,12 +122,12 @@ def _check_dmin(pair, ctx):
     prod = _WORKER["direct"]._via_column(row, col)
     if prod.min_q() != d:
         return (1, f"d_min {d} != smallest power {prod.min_q()} at {lam},{mu}")
-    # The shifted side stays on the caching _product, unlike gr3n-rule and
-    # positivity: shifted pairs repeat, 6,980 distinct in the 22,155 items
-    # of Gr(4,10).  Read through the uncached _shifted, that sweep peaked
-    # at 39 MB instead of 54 but took more CPU in 5 of 5 paired runs.
+    # The shifted side stays on the caching _product: shifted pairs repeat
+    # (6,980 distinct in the 22,155 items of Gr(4,10)); the uncached _shifted
+    # peaked at 39 MB instead of 54 but took more CPU in 5 of 5 paired runs.
+    # Compared untruncated: a product stops at q^min(k, n-k), below trunc.
     shifted = ctx.engine._product(seidel_up(lam, r, ctx), seidel_up(mu, ctx.n - r, ctx)).q_shift(d)
-    if shifted.truncated(ctx.trunc) != prod:
+    if shifted != prod:
         return (1, f"shift identity fails at {lam},{mu} (r={r})")
     return (2, None)
 
@@ -161,8 +154,8 @@ def _check_reductions(item, ctx):
         if tup is None:
             continue
         count += 1
-        got = _constant(tup, ctx)
-        if got is not None and got != orig:
+        got = _structure_constant(*tup, ctx)  # a degree outside 0..trunc reads 0
+        if got != orig:
             return (count, f"{rule} broke {lam},{mu},{nu},q^{d}: {orig} -> {got}")
     return (count, None)
 
@@ -175,15 +168,6 @@ def _check_positivity(pair, ctx):
         if not positivity_check(lam, mu, nu, d, c, ctx):
             return (count, f"sign violation at {lam},{mu},{nu},q^{d}: {c}")
     return (count, None)
-
-
-def _check_duality(item, ctx):
-    lam, mu, nu, d = item
-    orig = _structure_constant(lam, mu, nu, d, ctx)
-    got = _structure_constant(lam, dual(nu, ctx), dual(mu, ctx), d, ctx)
-    if got != orig:
-        return (1, f"duality broke {lam},{mu},{nu},q^{d}: {orig} -> {got}")
-    return (1, None)
 
 
 def _check_curve_nbhd(lam, ctx):
@@ -263,7 +247,6 @@ SUITES = {
     "dmin": (_pairs, _check_dmin),
     "reductions": (_constants, _check_reductions),
     "positivity": (_pairs, _check_positivity),
-    "duality": (_constants, _check_duality),
     "curve-nbhd": (all_partitions, _check_curve_nbhd),
     "associativity": (_triples, _check_associativity),
 }

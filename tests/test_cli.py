@@ -72,6 +72,14 @@ def test_unknown_suite_rejected():
     assert info.value.code == 2
 
 
+def test_duality_is_no_suite(capsys):
+    # the reductions suite compares the duality rewrite on every item
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "duality", "-k", "2", "-n", "5"])
+    assert info.value.code == 2
+    assert "invalid choice: 'duality'" in capsys.readouterr().err
+
+
 def test_verify_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "seidel", "-k", "3", "-n", "6", "--json")
     assert code == 0
