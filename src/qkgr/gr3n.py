@@ -41,7 +41,7 @@ def _qlr_gr3(lam, mu, nu, d: int, ctx: GrContext) -> int:
         return 0
 
     w = ctx.width
-    if nu[0] < max(lam[0], mu[0]):
+    if nu[0] < lam[0] or nu[0] < mu[0]:
         if nu[0] >= lam[0]:
             lam, mu = mu, lam
         a = lam[0]
@@ -52,7 +52,7 @@ def _qlr_gr3(lam, mu, nu, d: int, ctx: GrContext) -> int:
             0,
             ctx,
         )
-    if nu[1] < max(lam[1], mu[1]):
+    if nu[1] < lam[1] or nu[1] < mu[1]:
         if nu[1] >= lam[1]:
             lam, mu = mu, lam
         b = lam[1]
@@ -64,7 +64,7 @@ def _qlr_gr3(lam, mu, nu, d: int, ctx: GrContext) -> int:
             ctx,
         )
 
-    m = size(nu) + ctx.n - size(lam) - size(mu)
+    m = sum(nu) + ctx.n - sum(lam) - sum(mu)
     A = lam[0] + mu[0] - nu[0] - nu[1]
     constraints = (
         A > 0

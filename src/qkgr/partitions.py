@@ -164,7 +164,7 @@ def format_partition(lam: Partition) -> str:
 def dual(lam: Partition, ctx: GrContext) -> Partition:
     """The Poincare-dual partition (n-k-lam_k, ..., n-k-lam_1)."""
     w = ctx.width
-    return tuple(w - p for p in reversed(lam))
+    return tuple([w - p for p in lam[::-1]])
 
 
 def to_jump_sequence(lam: Partition, ctx: GrContext) -> JumpSequence:
@@ -229,17 +229,23 @@ def seidel_power(lam: Partition, r: int, ctx: GrContext) -> tuple[int, Partition
     """T^r on O^lam as (q-power, lam up r), for any integer r.
 
     Whole turns fold through T^n = q^k Id, so negative r gives the inverse
-    shift (lam down -r) with a q-power that may be negative.
+    shift (lam down -r) with a q-power that may be negative.  For r in
+    0..n-1 the result is the orbit table's own entry.  The table is read
+    directly; ``seidel_orbit`` runs, and validates, only on a miss.
     """
-    whole, r = divmod(r, ctx.n)
-    d, up = seidel_orbit(lam, ctx)[r]
+    orbit = ctx.orbits.get(lam) or seidel_orbit(lam, ctx)
+    n = ctx.n
+    if 0 <= r < n:
+        return orbit[r]
+    whole, r = divmod(r, n)
+    d, up = orbit[r]
     return (d + whole * ctx.k, up)
 
 
 def seidel_up(lam: Partition, p: int, ctx: GrContext) -> Partition:
     """The p-th Seidel shift for any integer p (negative p shifts down),
     read mod n off the orbit table that ``seidel_power`` reads."""
-    return seidel_orbit(lam, ctx)[p % ctx.n][1]
+    return (ctx.orbits.get(lam) or seidel_orbit(lam, ctx))[p % ctx.n][1]
 
 
 def horizontal_strips_over(lam: Partition, ctx: GrContext):

@@ -108,19 +108,23 @@ class LiftEngine:
         return got
 
     def _row(self, i: int, key: int) -> tuple:
-        """The Pieri row of O^i on the vector key, shifted and truncated."""
+        """The Pieri row of O^i on the vector key, shifted by its q-degree.
+        A product stops at q^min(k, n-k) and a Pieri term adds at most q^1,
+        so a term above trunc raises OverflowError; none is dropped."""
         stride = self._stride
         d, lid = divmod(key, stride)
-        limit = (self.ctx.trunc + 1) * stride
+        lam, trunc = self._parts[lid], self.ctx.trunc
+        limit = (trunc + 1) * stride
         row = []
-        for nu, dd, c in quantum_terms(self.ctx, self._parts[lid], i):
+        for nu, dd, c in quantum_terms(self.ctx, lam, i):
             tgt = (d + dd) * stride + self._intern(nu)
-            if tgt < limit:
-                row.append((tgt, c))
+            if tgt >= limit:
+                raise OverflowError(f"q-degree {d + dd} exceeds truncation {trunc} in O^{i} * q^{d} O^{lam}")
+            row.append((tgt, c))
         return tuple(row)
 
     def _apply_pieri(self, i: int, vec: dict) -> dict:
-        """O^i times a q-graded vector, truncated in q."""
+        """O^i times a q-graded vector; a term above trunc raises (see ``_row``)."""
         rows = self._rows.setdefault(i, {})
         out = {}
         get = out.get

@@ -14,6 +14,14 @@ product the way its item order reuses it.  ``gr3n-rule`` and
 representatives' products, stay in ``ctx.engine``.  ``reductions``,
 ``associativity`` and the shifted side of ``dmin`` reread products,
 through the caching ``LiftEngine._product``.
+
+Each check reads what it compares in one step.  ``reductions`` reads a
+constant as one lookup in ``ctx.engine._product``, bound once per item.
+``gr3n-rule`` reads the oracle through the pair product's ``terms.get``,
+bound once per pair, and each nu's shift down by s = lam_3 + mu_3 from a
+list of (nu, q-power, nu down s) built once per run for each s.  Seidel
+powers and shifts are single reads of the orbit table
+(``partitions.seidel_power``).
 """
 
 from __future__ import annotations
@@ -35,7 +43,6 @@ from .qk_engine import (
     _rank,
     _reduce_third_row,
     _strip_third_row,
-    _structure_constant,
     _verify_recursion,
 )
 from .seidel import (
@@ -57,7 +64,8 @@ from .seidel import (
 # from the shifting ctx.engine, which outlives the run.  gr3n-rule and
 # positivity read each product once, through its uncached _shifted, and leave
 # only the solved columns; dmin, reductions and associativity reread, and
-# fill its pair cache through _product.
+# fill its pair cache through _product.  "down" holds gr3n-rule's shifted
+# lists, keyed by s (see _shifted_down).
 _WORKER: dict = {}
 
 
@@ -96,17 +104,28 @@ def _check_pieri_equiv(item, ctx):
     return (3, None)
 
 
+def _shifted_down(s, ctx):
+    """(nu, dd, nu down s) for every nu in basis order, with
+    T^-s O^nu = q^dd O^(nu down s): built once per run for each s and kept
+    in _WORKER, so it is cleared with the run."""
+    table = _WORKER["down"]
+    got = table.get(s)
+    if got is None:
+        got = table[s] = [(nu, *seidel_power(nu, -s, ctx)) for nu in all_partitions(ctx)]
+    return got
+
+
 def _check_gr3n_rule(pair, ctx):
     lam, mu = pair
-    prod = ctx.engine._shifted(lam, mu)
+    oracle = ctx.engine._shifted(lam, mu).terms.get
     s = lam[2] + mu[2]
     lam2, mu2 = _strip_third_row(lam), _strip_third_row(mu)
+    degrees = range(ctx.trunc + 1)
     count = 0
-    for nu in all_partitions(ctx):
-        dd, nu2 = seidel_power(nu, -s, ctx)
-        for d in range(ctx.trunc + 1):
+    for nu, dd, nu2 in _shifted_down(s, ctx):
+        for d in degrees:
             count += 1
-            want = prod.terms.get((nu, d), 0)
+            want = oracle((nu, d), 0)
             got = _qlr_gr3(lam2, mu2, nu2, d + dd, ctx)
             if got != want:
                 return (count, f"rule {got} != oracle {want} at {lam},{mu},{nu},q^{d}")
@@ -132,10 +151,13 @@ def _check_dmin(pair, ctx):
     return (2, None)
 
 
+_LEMRED = tuple((f"lemred-{variant}", variant) for variant in (1, 2, 3, 4))
+
+
 def _rewrites(lam, mu, nu, d, ctx):
     """(rule, rewritten tuple or None) for every one-step rewrite, in order."""
-    for variant in (1, 2, 3, 4):
-        yield f"lemred-{variant}", reduce_lemred(lam, mu, nu, d, variant, ctx, i=1)
+    for rule, variant in _LEMRED:
+        yield rule, reduce_lemred(lam, mu, nu, d, variant, ctx, i=1)
     yield "duality", duality(lam, mu, nu, d, ctx)
     yield "deg-one", reduce_deg_one(lam, mu, nu, d, ctx)
     for s in range(2, min(d, ctx.k) + 1):  # reduce_higher needs s <= k
@@ -147,14 +169,16 @@ def _rewrites(lam, mu, nu, d, ctx):
 
 def _check_reductions(item, ctx):
     lam, mu, nu, d = item
-    orig = _structure_constant(lam, mu, nu, d, ctx)
+    product = ctx.engine._product
+    orig = product(lam, mu).terms.get((nu, d), 0)
     count = 0
     # lazy, so a failure stops the sweep before the later rewrites run
     for rule, tup in _rewrites(lam, mu, nu, d, ctx):
         if tup is None:
             continue
         count += 1
-        got = _structure_constant(*tup, ctx)  # a degree outside 0..trunc reads 0
+        lam1, mu1, nu1, d1 = tup
+        got = product(lam1, mu1).terms.get((nu1, d1), 0)  # a degree outside 0..trunc reads 0
         if got != orig:
             return (count, f"{rule} broke {lam},{mu},{nu},q^{d}: {orig} -> {got}")
     return (count, None)
@@ -321,11 +345,9 @@ def run_suite(
     items, check, ctx = _prepare(name, k, n, trunc, sample, seed)
     chunks = _chunks(len(items), jobs)
     results = []
-    _WORKER.update(items=items, check=check, ctx=ctx, direct=LiftEngine(ctx))
+    _WORKER.update(items=items, check=check, ctx=ctx, direct=LiftEngine(ctx), down={})
     try:
         if len(chunks) > 1:
-            # check one item so the engine tables are built before forking
-            check(items[0], ctx)
             import multiprocessing  # here, so runs without a pool never load it
 
             with multiprocessing.get_context("fork").Pool(len(chunks)) as pool:

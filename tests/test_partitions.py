@@ -99,6 +99,16 @@ def test_dual_examples():
     assert dual((3, 2, 1), C36) == (2, 1, 0)
 
 
+@pytest.mark.parametrize("ctx", contexts(9))
+def test_dual_against_jump_sequences(ctx):
+    # the dual's jumps are n + 1 - a over the jumps a of lam; the identity
+    # map passes the involution test, not this one
+    n = ctx.n
+    for lam in all_partitions(ctx):
+        want = tuple(sorted(n + 1 - a for a in to_jump_sequence(lam, ctx)))
+        assert to_jump_sequence(dual(lam, ctx), ctx) == want, lam
+
+
 @given(ctx_and_partition())
 def test_dual_involution(cp):
     ctx, lam = cp

@@ -444,6 +444,21 @@ def test_corrupted_pieri_step_raises(monkeypatch, kind):
         eng.product_via_column((2, 1, 0), (1, 0, 0))
 
 
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 6)])
+def test_pieri_term_above_trunc_raises(monkeypatch, k, n):
+    # a product stops at q^min(k, n-k) and a Pieri term adds at most q^1, so
+    # the rows never reach past trunc; one that does is an error, not dropped
+    ctx = context(k, n)
+
+    def beyond(ctx, lam, i):
+        return quantum_terms(ctx, lam, i) + ((lam, ctx.trunc + 1, 1),)
+
+    monkeypatch.setattr("qkgr.qk_engine.quantum_terms", beyond)
+    one = (1,) + (0,) * (k - 1)
+    with pytest.raises(OverflowError, match=f"exceeds truncation {ctx.trunc}"):
+        LiftEngine(ctx).product_via_column(one, one)
+
+
 def test_one_product_does_not_enumerate_the_ring():
     # C(30, 15) is about 1.5e8 classes; one product of two small shapes
     # must touch only the few classes its closure reaches

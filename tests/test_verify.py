@@ -5,13 +5,15 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
 
 import qkgr
 from qkgr.element import QKElement
-from qkgr.partitions import GrContext, all_partitions, context, validate
+from qkgr.gr3n import _qlr_gr3
+from qkgr.partitions import GrContext, all_partitions, context, seidel_power, validate
 from qkgr.qk_engine import LiftEngine
 from qkgr.seidel import T
 from qkgr.verify import SUITE_NAMES, _chunks, _prepare, run_suite
@@ -253,6 +255,33 @@ def test_every_suite_reports_its_failures(monkeypatch, suite, k, n, names, broke
     assert not rep["ok"]
     assert rep["failures"] >= 1
     assert rep["first_failure"].startswith(prefix), rep["first_failure"]
+
+
+def test_gr3n_rule_calls_the_rule_as_the_unhoisted_loop(monkeypatch):
+    # the checker reads each nu's shift down by s = lam_3 + mu_3 from a list
+    # built once per run and s; its rule calls must be those of a loop that
+    # calls seidel_power(nu, -s) for every pair, argument for argument, in order
+    ctx = context(3, 7)
+    calls = []
+
+    def recorded(lam, mu, nu, d, c):
+        calls.append((lam, mu, nu, d, c))
+        return _qlr_gr3(lam, mu, nu, d, c)
+
+    monkeypatch.setattr("qkgr.verify._qlr_gr3", recorded)
+    rep = run_suite("gr3n-rule", 3, 7)
+    assert rep["ok"] and rep["checks"] == len(calls) == 110_250
+    want, shifts = [], set()
+    for lam, mu in combinations_with_replacement(all_partitions(ctx), 2):
+        s = lam[2] + mu[2]
+        shifts.add(min(s, 2))
+        lam2, mu2 = (lam[0] - lam[2], lam[1] - lam[2], 0), (mu[0] - mu[2], mu[1] - mu[2], 0)
+        for nu in all_partitions(ctx):
+            dd, nu2 = seidel_power(nu, -s, ctx)
+            for d in range(ctx.trunc + 1):
+                want.append((lam2, mu2, nu2, d + dd, ctx))
+    assert shifts == {0, 1, 2}
+    assert calls == want
 
 
 @pytest.mark.parametrize("suite, k, n", [("seidel", 2, 5), ("seidel", 4, 7), ("dmin", 3, 6)])
