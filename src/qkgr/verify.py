@@ -16,12 +16,16 @@ representatives' products, stay in ``ctx.engine``.  ``reductions``,
 through the caching ``LiftEngine._product``.
 
 Each check reads what it compares in one step.  ``reductions`` reads a
-constant as one lookup in ``ctx.engine._product``, bound once per item.
-``gr3n-rule`` reads the oracle through the pair product's ``terms.get``,
-bound once per pair, and each nu's shift down by s = lam_3 + mu_3 from a
-list of (nu, q-power, nu down s) built once per run for each s.  Seidel
-powers and shifts are single reads of the orbit table
-(``partitions.seidel_power``).
+constant as one lookup in ``ctx.engine._product``, bound once per item, and
+each rewrite but dual-shift from a per-run table keyed by the arguments its
+rule reads: lemred-1..4, deg-one and higher-s by (nu, d), one table per lam
+that is dropped when lam changes; duality by (mu, nu); third-row by
+(lam_3 + mu_3, nu).  The tables hold at most |basis|*(trunc+1) + |basis|^2
++ (2*width+1)*|basis| entries.  ``gr3n-rule`` reads the oracle through the
+pair product's ``terms.get``, bound once per pair, and each nu's shift
+down by s = lam_3 + mu_3 from a list of (nu, q-power, nu down s) built once
+per run for each s.  Seidel powers and shifts are single reads of the
+orbit table (``partitions.seidel_power``).
 """
 
 from __future__ import annotations
@@ -65,7 +69,10 @@ from .seidel import (
 # positivity read each product once, through its uncached _shifted, and leave
 # only the solved columns; dmin, reductions and associativity reread, and
 # fill its pair cache through _product.  "down" holds gr3n-rule's shifted
-# lists, keyed by s (see _shifted_down).
+# lists, keyed by s (see _shifted_down).  reductions' rewrite tables (see
+# _rewrites): "mu_free" is (lam, {(nu, d): the rewrites that pass mu
+# through}), replaced when lam changes; "duals" maps (mu, nu) to (dual nu,
+# dual mu); "third" maps (lam_3 + mu_3, nu) to (nu down s, its q-power).
 _WORKER: dict = {}
 
 
@@ -154,17 +161,50 @@ def _check_dmin(pair, ctx):
 _LEMRED = tuple((f"lemred-{variant}", variant) for variant in (1, 2, 3, 4))
 
 
-def _rewrites(lam, mu, nu, d, ctx):
-    """(rule, rewritten tuple or None) for every one-step rewrite, in order."""
-    for rule, variant in _LEMRED:
-        yield rule, reduce_lemred(lam, mu, nu, d, variant, ctx, i=1)
-    yield "duality", duality(lam, mu, nu, d, ctx)
-    yield "deg-one", reduce_deg_one(lam, mu, nu, d, ctx)
+def _mu_free(lam, mu, nu, d, ctx):
+    """The rewrites that pass mu through, as (rule, (lam', nu', d') or None):
+    lemred-1..4, then deg-one and higher-s, two tuples in rewrite order."""
+
+    def drop_mu(tup):
+        return None if tup is None else (tup[0], tup[2], tup[3])
+
+    lemred = tuple((rule, drop_mu(reduce_lemred(lam, mu, nu, d, v, ctx, i=1))) for rule, v in _LEMRED)
+    shifts = [("deg-one", drop_mu(reduce_deg_one(lam, mu, nu, d, ctx)))]
     for s in range(2, min(d, ctx.k) + 1):  # reduce_higher needs s <= k
-        yield f"higher-{s}", reduce_higher(lam, mu, nu, d, s, ctx)
+        shifts.append((f"higher-{s}", drop_mu(reduce_higher(lam, mu, nu, d, s, ctx))))
+    return lemred, tuple(shifts)
+
+
+def _rewrites(lam, mu, nu, d, ctx):
+    """(rule, rewritten tuple or None) for every one-step rewrite, in order.
+
+    Each rule but dual-shift is read from a table in _WORKER keyed by the
+    arguments it reads, and called once per key on a miss."""
+    cur, mu_free = _WORKER["mu_free"]
+    if cur != lam:
+        mu_free = {}
+        _WORKER["mu_free"] = (lam, mu_free)
+    got = mu_free.get((nu, d))
+    if got is None:
+        got = mu_free[nu, d] = _mu_free(lam, mu, nu, d, ctx)
+    lemred, shifts = got
+    for rule, t in lemred:
+        yield rule, t and (t[0], mu, t[1], t[2])
+    duals = _WORKER["duals"]
+    pair = duals.get((mu, nu))
+    if pair is None:
+        pair = duals[mu, nu] = duality(lam, mu, nu, d, ctx)[1:3]
+    yield "duality", (lam, *pair, d)
+    for rule, t in shifts:
+        yield rule, t and (t[0], mu, t[1], t[2])
     yield "dual-shift", reduce_dual_shift(lam, mu, nu, d, ctx)
     if ctx.k == 3:
-        yield "third-row", _reduce_third_row(lam, mu, nu, d, ctx)
+        third, s = _WORKER["third"], lam[2] + mu[2]
+        down = third.get((s, nu))
+        if down is None:
+            tup = _reduce_third_row(lam, mu, nu, d, ctx)
+            down = third[s, nu] = (tup[2], tup[3] - d)
+        yield "third-row", (_strip_third_row(lam), _strip_third_row(mu), down[0], d + down[1])
 
 
 def _check_reductions(item, ctx):
@@ -345,7 +385,9 @@ def run_suite(
     items, check, ctx = _prepare(name, k, n, trunc, sample, seed)
     chunks = _chunks(len(items), jobs)
     results = []
-    _WORKER.update(items=items, check=check, ctx=ctx, direct=LiftEngine(ctx), down={})
+    _WORKER.update(
+        items=items, check=check, ctx=ctx, direct=LiftEngine(ctx), down={}, mu_free=(None, {}), duals={}, third={}
+    )
     try:
         if len(chunks) > 1:
             import multiprocessing  # here, so runs without a pool never load it

@@ -14,9 +14,9 @@ import qkgr
 from qkgr.element import QKElement
 from qkgr.gr3n import _qlr_gr3
 from qkgr.partitions import GrContext, all_partitions, context, seidel_power, validate
-from qkgr.qk_engine import LiftEngine
-from qkgr.seidel import T
-from qkgr.verify import SUITE_NAMES, _chunks, _prepare, run_suite
+from qkgr.qk_engine import LiftEngine, _reduce_third_row
+from qkgr.seidel import T, duality, reduce_deg_one, reduce_dual_shift, reduce_higher, reduce_lemred
+from qkgr.verify import _WORKER, SUITE_NAMES, _chunks, _prepare, run_suite
 
 
 def test_no_assert_statements_in_package():
@@ -213,11 +213,13 @@ def _beyond_trunc(self, lam, mu):
 
 # (suite, k, n, the names in qkgr.verify to replace, their replacement, the
 # failure message's prefix): one case per message of every suite.  The
-# reductions cases break two rewrites that
-# test_reductions_report_the_first_broken_rewrite does not: duality, and
-# third-row into the zero signal d' < 0, which must be compared as 0, not
-# skipped.  The dmin case hides its break above the truncation.  On Gr(2,4),
-# n = 2k, so H := T keeps H^n = q^(n-k) and breaks only HT = q
+# reductions cases break every rewrite but deg-one, which
+# test_reductions_report_the_first_broken_rewrite breaks, so a table that
+# drops a rule's output fails a case; third-row breaks into the zero signal
+# d' < 0, which must be compared as 0, not skipped.  The higher case runs
+# on Gr(3,6), where s = 2 and 3 both apply.  The dmin case hides its break
+# above the truncation.  On Gr(2,4), n = 2k, so H := T keeps H^n = q^(n-k)
+# and breaks only HT = q
 _BROKEN = [
     ("seidel", 2, 5, "T", _identity, "T^5 != q^2 Id at "),
     ("seidel", 2, 5, "H", _identity, "H^5 != q^3 Id at "),
@@ -234,6 +236,15 @@ _BROKEN = [
     ("dmin", 2, 5, "seidel_up", lambda lam, p, ctx: lam, "shift identity fails at "),
     ("dmin", 2, 5, "LiftEngine._product", _beyond_trunc, "shift identity fails at "),
     ("reductions", 2, 5, "duality", lambda lam, mu, nu, d, ctx: (lam, nu, mu, d), "duality broke "),
+    (
+        "reductions", 2, 5, "reduce_lemred",
+        lambda lam, mu, nu, d, variant, ctx, i=1: (lam, mu, nu, d - 1) if d >= 1 else None, "lemred-1 broke ",
+    ),
+    ("reductions", 3, 6, "reduce_higher", lambda lam, mu, nu, d, s, ctx: (lam, mu, nu, d - s), "higher-2 broke "),
+    (
+        "reductions", 2, 5, "reduce_dual_shift",
+        lambda lam, mu, nu, d, ctx: (lam, mu, nu, d - 1) if d >= 1 else None, "dual-shift broke ",
+    ),
     (
         "reductions", 3, 6, "_reduce_third_row",
         lambda lam, mu, nu, d, ctx: (lam, mu, nu, -1), "third-row broke ",
@@ -255,6 +266,106 @@ def test_every_suite_reports_its_failures(monkeypatch, suite, k, n, names, broke
     assert not rep["ok"]
     assert rep["failures"] >= 1
     assert rep["first_failure"].startswith(prefix), rep["first_failure"]
+
+
+def _reference_rewrites(lam, mu, nu, d, ctx):
+    # one call per item and rule, as the checker made them before its tables
+    out = [(f"lemred-{v}", reduce_lemred(lam, mu, nu, d, v, ctx, i=1)) for v in (1, 2, 3, 4)]
+    out.append(("duality", duality(lam, mu, nu, d, ctx)))
+    out.append(("deg-one", reduce_deg_one(lam, mu, nu, d, ctx)))
+    out += [(f"higher-{s}", reduce_higher(lam, mu, nu, d, s, ctx)) for s in range(2, min(d, ctx.k) + 1)]
+    out.append(("dual-shift", reduce_dual_shift(lam, mu, nu, d, ctx)))
+    if ctx.k == 3:
+        out.append(("third-row", _reduce_third_row(lam, mu, nu, d, ctx)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "k, n, trunc, sample",
+    [(2, 5, None, None), (2, 5, 5, None), (2, 6, None, None), (3, 6, None, None), (3, 7, None, 2000)],
+)
+def test_reductions_tables_match_the_per_item_rewrites(monkeypatch, k, n, trunc, sample):
+    # the checker reads most rewrites from tables keyed by the arguments the
+    # rule reads; it must compare what one call per item and rule gives.  The
+    # sample's random order changes lam almost every item, rebuilding the
+    # per-lam table
+    tabled, seen = qkgr.verify._rewrites, []
+
+    def recorded(lam, mu, nu, d, ctx):
+        seen.append([])
+        for got in tabled(lam, mu, nu, d, ctx):
+            seen[-1].append(got)
+            yield got
+
+    monkeypatch.setattr(qkgr.verify, "_rewrites", recorded)
+    rep = run_suite("reductions", k, n, trunc=trunc, sample=sample, seed=1)
+    items, _, ctx = _prepare("reductions", k, n, trunc, sample, 1)
+    assert rep["ok"] and rep["items"] == len(items) == len(seen)
+    keyed = {}
+
+    def same(key, value):
+        assert keyed.setdefault(key, value) == value, key
+
+    for item, got in zip(items, seen):
+        lam, mu, nu, d = item
+        want = _reference_rewrites(*item, ctx)
+        assert got == want, item
+        # the keys are sound: a rule's result depends only on its key
+        for rule, tup in want:
+            if rule == "duality":
+                assert (tup[0], tup[3]) == (lam, d)
+                same((rule, mu, nu), tup[1:3])
+            elif rule == "third-row":
+                assert tup[:2] == ((lam[0] - lam[2], lam[1] - lam[2], 0), (mu[0] - mu[2], mu[1] - mu[2], 0))
+                same((rule, lam[2] + mu[2], nu), (tup[2], tup[3] - d))
+            elif rule != "dual-shift":
+                assert tup is None or tup[1] == mu, (rule, item)
+                same((rule, lam, nu, d), tup and (tup[0], tup[2], tup[3]))
+
+
+def test_reductions_call_each_rewrite_once_per_key(monkeypatch):
+    ctx = context(3, 6)
+    basis = len(all_partitions(ctx))
+    calls = dict.fromkeys(["reduce_lemred", "reduce_deg_one", "reduce_higher", "duality", "_reduce_third_row"], 0)
+    sizes = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(qkgr.verify, name, counted(name, getattr(qkgr.verify, name)))
+
+    def measured(*args):
+        # called once per item: the tables' size after the item's misses
+        sizes.append(len(_WORKER["mu_free"][1]) + len(_WORKER["duals"]) + len(_WORKER["third"]))
+        return reduce_dual_shift(*args)
+
+    monkeypatch.setattr(qkgr.verify, "reduce_dual_shift", measured)
+    rep = run_suite("reductions", 3, 6)
+    assert _counts(rep) == (40_000, 169_296)
+    assert calls == {
+        "reduce_lemred": 8_000,
+        "reduce_deg_one": 2_000,
+        "reduce_higher": 2_000,
+        "duality": 400,
+        "_reduce_third_row": 140,
+    }
+    assert _WORKER == {}
+    # per lam: (nu, d); duality: (mu, nu); third-row: (lam_3 + mu_3, nu)
+    assert len(sizes) == 40_000
+    assert max(sizes) <= basis * (ctx.trunc + 1) + basis**2 + (2 * ctx.width + 1) * basis
+
+    def raising(*args):
+        raise ArithmeticError("broken rewrite")
+
+    monkeypatch.setattr(qkgr.verify, "reduce_dual_shift", raising)
+    with pytest.raises(ArithmeticError, match="broken rewrite"):
+        run_suite("reductions", 3, 6)
+    assert _WORKER == {}
 
 
 def test_gr3n_rule_calls_the_rule_as_the_unhoisted_loop(monkeypatch):
