@@ -15,16 +15,19 @@ representatives' products, stay in ``ctx.engine``.  ``reductions``,
 ``associativity`` and the shifted side of ``dmin`` reread products,
 through the caching ``LiftEngine._product``.
 
-Each check reads what it compares in one step.  ``reductions`` reads a
-constant as one lookup in ``ctx.engine._product``, bound once per item, and
-each rewrite but dual-shift from a per-run table keyed by the arguments its
-rule reads: lemred-1..4, deg-one and higher-s by (nu, d), one table per lam
-that is dropped when lam changes; duality by (mu, nu); third-row by
-(lam_3 + mu_3, nu).  The tables hold at most |basis|*(trunc+1) + |basis|^2
-+ (2*width+1)*|basis| entries.  ``gr3n-rule`` reads the oracle through the
-pair product's ``terms.get``, bound once per pair, and each nu's shift
-down by s = lam_3 + mu_3 from a list of (nu, q-power, nu down s) built once
-per run for each s.  Seidel powers and shifts are single reads of the
+Each check reads what it compares in one step, and each rule or rewrite
+is evaluated once per key it depends on.  ``reductions`` keeps one state
+per lam, dropped when lam changes: the rewrites that pass mu through
+(lemred-1..4, deg-one, higher-s) by (nu, d), and per mu the ``terms.get``
+of O^lam * O^mu and of the stripped pair's product, and the dual-shift
+rewrites by nu, stored without their degree d - 1 and read only for
+d >= 1.  Duality is read from a per-run table by (mu, nu), third-row by
+(lam_3 + mu_3, nu).  The tables hold at most |basis|*(trunc+1) +
+|basis|*(|basis|+1) + |basis|^2 + (2*width+1)*|basis| entries.
+``gr3n-rule`` binds the oracle, the pair product's ``terms.get``, and the
+rule (``gr3n._qlr_gr3_pair``) once per pair, and reads each nu's shift
+down by s = lam_3 + mu_3 from a list of (nu, q-power, nu down s) built
+once per run for each s.  Seidel powers and shifts are single reads of the
 orbit table (``partitions.seidel_power``).
 """
 
@@ -39,7 +42,7 @@ from itertools import product as iterproduct
 
 from .curve_nbhd import curve_neighborhood, gamma_special, rim_peel
 from .element import QKElement
-from .gr3n import _qlr_gr3, positivity_check
+from .gr3n import _qlr_gr3_pair, positivity_check
 from .partitions import all_partitions, context, dual, seidel_power, seidel_up
 from .pieri import classical_pieri, quantum_pieri, quantum_pieri_restated
 from .qk_engine import (
@@ -69,10 +72,12 @@ from .seidel import (
 # positivity read each product once, through its uncached _shifted, and leave
 # only the solved columns; dmin, reductions and associativity reread, and
 # fill its pair cache through _product.  "down" holds gr3n-rule's shifted
-# lists, keyed by s (see _shifted_down).  reductions' rewrite tables (see
-# _rewrites): "mu_free" is (lam, {(nu, d): the rewrites that pass mu
-# through}), replaced when lam changes; "duals" maps (mu, nu) to (dual nu,
-# dual mu); "third" maps (lam_3 + mu_3, nu) to (nu down s, its q-power).
+# lists, keyed by s (see _shifted_down).  reductions' state (see
+# _check_reductions): "lam" is (lam, {(nu, d): the rewrites that pass mu
+# through}, {mu: [O^lam * O^mu's getter, the stripped pair's getter or None,
+# {nu: dual-shift rewrite without d - 1, or None}]}), replaced when lam
+# changes; "duals" maps (mu, nu) to (dual nu, dual mu); "third" maps
+# (lam_3 + mu_3, nu) to (nu down s, its q-power).
 _WORKER: dict = {}
 
 
@@ -125,15 +130,14 @@ def _shifted_down(s, ctx):
 def _check_gr3n_rule(pair, ctx):
     lam, mu = pair
     oracle = ctx.engine._shifted(lam, mu).terms.get
-    s = lam[2] + mu[2]
-    lam2, mu2 = _strip_third_row(lam), _strip_third_row(mu)
+    rule = _qlr_gr3_pair(_strip_third_row(lam), _strip_third_row(mu), ctx)
     degrees = range(ctx.trunc + 1)
     count = 0
-    for nu, dd, nu2 in _shifted_down(s, ctx):
+    for nu, dd, nu2 in _shifted_down(lam[2] + mu[2], ctx):
         for d in degrees:
             count += 1
             want = oracle((nu, d), 0)
-            got = _qlr_gr3(lam2, mu2, nu2, d + dd, ctx)
+            got = rule(nu2, d + dd)
             if got != want:
                 return (count, f"rule {got} != oracle {want} at {lam},{mu},{nu},q^{d}")
     return (count, None)
@@ -162,65 +166,84 @@ _LEMRED = tuple((f"lemred-{variant}", variant) for variant in (1, 2, 3, 4))
 
 
 def _mu_free(lam, mu, nu, d, ctx):
-    """The rewrites that pass mu through, as (rule, (lam', nu', d') or None):
+    """The rewrites that pass mu through and apply, as (rule, lam', nu', d'):
     lemred-1..4, then deg-one and higher-s, two tuples in rewrite order."""
-
-    def drop_mu(tup):
-        return None if tup is None else (tup[0], tup[2], tup[3])
-
-    lemred = tuple((rule, drop_mu(reduce_lemred(lam, mu, nu, d, v, ctx, i=1))) for rule, v in _LEMRED)
-    shifts = [("deg-one", drop_mu(reduce_deg_one(lam, mu, nu, d, ctx)))]
+    lemred = [(rule, reduce_lemred(lam, mu, nu, d, v, ctx, i=1)) for rule, v in _LEMRED]
+    shifts = [("deg-one", reduce_deg_one(lam, mu, nu, d, ctx))]
     for s in range(2, min(d, ctx.k) + 1):  # reduce_higher needs s <= k
-        shifts.append((f"higher-{s}", drop_mu(reduce_higher(lam, mu, nu, d, s, ctx))))
-    return lemred, tuple(shifts)
+        shifts.append((f"higher-{s}", reduce_higher(lam, mu, nu, d, s, ctx)))
+
+    def applying(rewrites):
+        return tuple((rule, t[0], t[2], t[3]) for rule, t in rewrites if t is not None)
+
+    return applying(lemred), applying(shifts)
 
 
-def _rewrites(lam, mu, nu, d, ctx):
-    """(rule, rewritten tuple or None) for every one-step rewrite, in order.
+def _broke(rule, item, orig, got):
+    lam, mu, nu, d = item
+    return f"{rule} broke {lam},{mu},{nu},q^{d}: {orig} -> {got}"
 
-    Each rule but dual-shift is read from a table in _WORKER keyed by the
-    arguments it reads, and called once per key on a miss."""
-    cur, mu_free = _WORKER["mu_free"]
-    if cur != lam:
-        mu_free = {}
-        _WORKER["mu_free"] = (lam, mu_free)
-    got = mu_free.get((nu, d))
-    if got is None:
-        got = mu_free[nu, d] = _mu_free(lam, mu, nu, d, ctx)
-    lemred, shifts = got
-    for rule, t in lemred:
-        yield rule, t and (t[0], mu, t[1], t[2])
+
+def _check_reductions(item, ctx):
+    """Compare the constant with each of its one-step rewrites, in order,
+    up to the first that differs; a rewrite is looked up only once every
+    comparison before it has passed.  The state it reads is in _WORKER."""
+    lam, mu, nu, d = item
+    state = _WORKER["lam"]
+    if state[0] != lam:
+        state = _WORKER["lam"] = (lam, {}, {})
+    _, mu_free, per_mu = state
+    product = ctx.engine._product
+    reads = per_mu.get(mu)
+    if reads is None:
+        reads = per_mu[mu] = [product(lam, mu).terms.get, None, {}]
+    orig = reads[0]((nu, d), 0)
+    rewrites = mu_free.get((nu, d))
+    if rewrites is None:
+        rewrites = mu_free[nu, d] = _mu_free(lam, mu, nu, d, ctx)
+    count = 0
+    for rule, lam1, nu1, d1 in rewrites[0]:  # lemred-1..4
+        count += 1
+        got = product(lam1, mu).terms.get((nu1, d1), 0)  # a degree outside 0..trunc reads 0
+        if got != orig:
+            return (count, _broke(rule, item, orig, got))
     duals = _WORKER["duals"]
     pair = duals.get((mu, nu))
     if pair is None:
         pair = duals[mu, nu] = duality(lam, mu, nu, d, ctx)[1:3]
-    yield "duality", (lam, *pair, d)
-    for rule, t in shifts:
-        yield rule, t and (t[0], mu, t[1], t[2])
-    yield "dual-shift", reduce_dual_shift(lam, mu, nu, d, ctx)
+    count += 1
+    got = product(lam, pair[0]).terms.get((pair[1], d), 0)
+    if got != orig:
+        return (count, _broke("duality", item, orig, got))
+    for rule, lam1, nu1, d1 in rewrites[1]:  # deg-one, higher-s
+        count += 1
+        got = product(lam1, mu).terms.get((nu1, d1), 0)
+        if got != orig:
+            return (count, _broke(rule, item, orig, got))
+    if d >= 1:  # reduce_dual_shift reads d only as d >= 1 and d - 1
+        dual_shift = reads[2]
+        if nu not in dual_shift:
+            tup = reduce_dual_shift(lam, mu, nu, d, ctx)
+            dual_shift[nu] = tup and tup[:3]
+        tup = dual_shift[nu]
+        if tup is not None:
+            count += 1
+            got = product(tup[0], tup[1]).terms.get((tup[2], d - 1), 0)
+            if got != orig:
+                return (count, _broke("dual-shift", item, orig, got))
     if ctx.k == 3:
         third, s = _WORKER["third"], lam[2] + mu[2]
         down = third.get((s, nu))
         if down is None:
             tup = _reduce_third_row(lam, mu, nu, d, ctx)
             down = third[s, nu] = (tup[2], tup[3] - d)
-        yield "third-row", (_strip_third_row(lam), _strip_third_row(mu), down[0], d + down[1])
-
-
-def _check_reductions(item, ctx):
-    lam, mu, nu, d = item
-    product = ctx.engine._product
-    orig = product(lam, mu).terms.get((nu, d), 0)
-    count = 0
-    # lazy, so a failure stops the sweep before the later rewrites run
-    for rule, tup in _rewrites(lam, mu, nu, d, ctx):
-        if tup is None:
-            continue
+        stripped = reads[1]
+        if stripped is None:
+            stripped = reads[1] = product(_strip_third_row(lam), _strip_third_row(mu)).terms.get
         count += 1
-        lam1, mu1, nu1, d1 = tup
-        got = product(lam1, mu1).terms.get((nu1, d1), 0)  # a degree outside 0..trunc reads 0
+        got = stripped((down[0], d + down[1]), 0)
         if got != orig:
-            return (count, f"{rule} broke {lam},{mu},{nu},q^{d}: {orig} -> {got}")
+            return (count, _broke("third-row", item, orig, got))
     return (count, None)
 
 
@@ -386,7 +409,7 @@ def run_suite(
     chunks = _chunks(len(items), jobs)
     results = []
     _WORKER.update(
-        items=items, check=check, ctx=ctx, direct=LiftEngine(ctx), down={}, mu_free=(None, {}), duals={}, third={}
+        items=items, check=check, ctx=ctx, direct=LiftEngine(ctx), down={}, lam=(None, {}, {}), duals={}, third={}
     )
     try:
         if len(chunks) > 1:

@@ -112,7 +112,7 @@ def test_verify_jobs_below_one_is_usage_error(capsys):
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr("qkgr.verify._qlr_gr3", lambda lam, mu, nu, d, ctx: 7)
+    monkeypatch.setattr("qkgr.verify._qlr_gr3_pair", lambda lam, mu, ctx: lambda nu, d: 7)
     code, out, err = run_cli(capsys, "verify", "gr3n-rule", "-n", "6", "--sample", "3")
     assert code == 1
     assert err == ""

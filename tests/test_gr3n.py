@@ -1,8 +1,8 @@
 import pytest
 
-from qkgr.gr3n import nu3_zero_case, positivity_check, qlr_gr3
+from qkgr.gr3n import _qlr_gr3, _qlr_gr3_pair, nu3_zero_case, positivity_check, qlr_gr3
 from qkgr.partitions import all_partitions, context
-from qkgr.qk_engine import reduce_third_row, structure_constant
+from qkgr.qk_engine import _structure_constant, reduce_third_row, structure_constant
 
 
 def test_rejects_bad_inputs():
@@ -145,3 +145,78 @@ def test_nu3_zero_matches_oracle(n):
                 else:
                     assert want == 0, (lam, mu, nu)
     assert {"classical", "zero"} <= cases
+
+
+def _pointwise_qlr_gr3(lam, mu, nu, d, ctx):
+    # the rule as one call per constant, each product read afresh: a frozen
+    # copy of the evaluator that the pair-bound one replaced
+    if d < 0:
+        return 0
+    if d == 0:
+        return _structure_constant(lam, mu, nu, 0, ctx)
+    if d >= 2:
+        return 0
+    w = ctx.width
+    if nu[0] < lam[0] or nu[0] < mu[0]:
+        if nu[0] >= lam[0]:
+            lam, mu = mu, lam
+        a = lam[0]
+        return _structure_constant(
+            (lam[1] + w - a, w - a, 0),
+            mu,
+            (nu[0] + w + 1 - a, nu[1] + w + 1 - a, nu[2] + w + 1 - a),
+            0,
+            ctx,
+        )
+    if nu[1] < lam[1] or nu[1] < mu[1]:
+        if nu[1] >= lam[1]:
+            lam, mu = mu, lam
+        b = lam[1]
+        return _structure_constant(
+            (w - b, lam[0] - b, 0),
+            mu,
+            (nu[1] + w + 1 - b, nu[2] + w + 1 - b, nu[0] - b + 1),
+            0,
+            ctx,
+        )
+    m = sum(nu) + ctx.n - sum(lam) - sum(mu)
+    A = lam[0] + mu[0] - nu[0] - nu[1]
+    constraints = (
+        A > 0
+        and 0 <= m <= 3
+        and min(lam[0] + lam[1], mu[0] + mu[1]) >= w + nu[2]
+        and min(lam[0], mu[0]) > nu[1]
+        and min(lam[1], mu[1]) > nu[2]
+    )
+    if not constraints:
+        return 0
+    if w < nu[0]:
+        raise ArithmeticError(f"nu={nu} leaves the 3x{w} rectangle")
+    c1 = min(A, w - nu[0])
+    c0 = min(A - 1, w - nu[0])
+    if m == 0:
+        return c0
+    if m == 1:
+        return -c1 - 2 * c0
+    if m == 2:
+        return 2 * c1 + c0
+    return -c1
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_pair_bound_rule_matches_the_pointwise_rule(n):
+    # every (lam, mu) in both orders, every nu, and degrees one beyond each
+    # end of 0..trunc; one bound rule serves every (nu, d) of its pair, so a
+    # product read under the wrong key, or the wrong factor shifted, differs
+    ctx = context(3, n)
+    parts = all_partitions(ctx)
+    stripped = [p for p in parts if p[2] == 0]
+    degrees = range(-1, ctx.trunc + 2)
+    for lam in stripped:
+        for mu in stripped:
+            rule = _qlr_gr3_pair(lam, mu, ctx)
+            for nu in parts:
+                for d in degrees:
+                    want = _pointwise_qlr_gr3(lam, mu, nu, d, ctx)
+                    assert rule(nu, d) == want, (lam, mu, nu, d)
+                    assert _qlr_gr3(lam, mu, nu, d, ctx) == want, (lam, mu, nu, d)

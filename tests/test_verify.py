@@ -7,16 +7,17 @@ import sys
 import tracemalloc
 from itertools import combinations_with_replacement
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import qkgr
 from qkgr.element import QKElement
-from qkgr.gr3n import _qlr_gr3
+from qkgr.gr3n import _qlr_gr3_pair
 from qkgr.partitions import GrContext, all_partitions, context, seidel_power, validate
 from qkgr.qk_engine import LiftEngine, _reduce_third_row
 from qkgr.seidel import T, duality, reduce_deg_one, reduce_dual_shift, reduce_higher, reduce_lemred
-from qkgr.verify import _WORKER, SUITE_NAMES, _chunks, _prepare, run_suite
+from qkgr.verify import _WORKER, SUITE_NAMES, SUITES, _chunks, _prepare, run_suite
 
 
 def test_no_assert_statements_in_package():
@@ -231,7 +232,7 @@ _BROKEN = [
         lambda lam, i, ctx: QKElement.basis(lam, 2), "pieri q-degree above 1 at ",
     ),
     ("pieri-equiv", 2, 5, "classical_pieri", lambda lam, i, ctx: QKElement(), "q=0 part differs from "),
-    ("gr3n-rule", 3, 6, "_qlr_gr3", lambda lam, mu, nu, d, ctx: 7, "rule 7 != oracle "),
+    ("gr3n-rule", 3, 6, "_qlr_gr3_pair", lambda lam, mu, ctx: lambda nu, d: 7, "rule 7 != oracle "),
     ("dmin", 2, 5, "_d_min", lambda lam, mu, ctx: (-1, 0), "d_min -1 != smallest power "),
     ("dmin", 2, 5, "seidel_up", lambda lam, p, ctx: lam, "shift identity fails at "),
     ("dmin", 2, 5, "LiftEngine._product", _beyond_trunc, "shift identity fails at "),
@@ -280,6 +281,17 @@ def _reference_rewrites(lam, mu, nu, d, ctx):
     return out
 
 
+class _LoggedTerms:
+    """A product's terms whose every ``get`` is logged as (lam, mu, nu, d)."""
+
+    def __init__(self, log, pair, terms):
+        self.log, self.pair, self.terms = log, pair, terms
+
+    def get(self, key, default=None):
+        self.log[-1].append((*self.pair, *key))
+        return self.terms.get(key, default)
+
+
 @pytest.mark.parametrize(
     "k, n, trunc, sample",
     [(2, 5, None, None), (2, 5, 5, None), (2, 6, None, None), (3, 6, None, None), (3, 7, None, 2000)],
@@ -288,28 +300,32 @@ def test_reductions_tables_match_the_per_item_rewrites(monkeypatch, k, n, trunc,
     # the checker reads most rewrites from tables keyed by the arguments the
     # rule reads; it must compare what one call per item and rule gives.  The
     # sample's random order changes lam almost every item, rebuilding the
-    # per-lam table
-    tabled, seen = qkgr.verify._rewrites, []
+    # per-lam state.  Every constant the checker reads is logged, per item:
+    # the item's own, then each rewrite it compares, in order
+    log = []
+    items, check = SUITES["reductions"]
 
-    def recorded(lam, mu, nu, d, ctx):
-        seen.append([])
-        for got in tabled(lam, mu, nu, d, ctx):
-            seen[-1].append(got)
-            yield got
+    def logged_check(item, ctx):
+        log.append([])
+        return check(item, ctx)
 
-    monkeypatch.setattr(qkgr.verify, "_rewrites", recorded)
+    def logged_product(self, lam, mu):
+        return SimpleNamespace(terms=_LoggedTerms(log, (lam, mu), _lift_product(self, lam, mu).terms))
+
+    monkeypatch.setitem(SUITES, "reductions", (items, logged_check))
+    monkeypatch.setattr(LiftEngine, "_product", logged_product)
     rep = run_suite("reductions", k, n, trunc=trunc, sample=sample, seed=1)
     items, _, ctx = _prepare("reductions", k, n, trunc, sample, 1)
-    assert rep["ok"] and rep["items"] == len(items) == len(seen)
+    assert rep["ok"] and rep["items"] == len(items) == len(log)
     keyed = {}
 
     def same(key, value):
         assert keyed.setdefault(key, value) == value, key
 
-    for item, got in zip(items, seen):
+    for item, got in zip(items, log):
         lam, mu, nu, d = item
         want = _reference_rewrites(*item, ctx)
-        assert got == want, item
+        assert got == [item] + [tup for _, tup in want if tup is not None], item
         # the keys are sound: a rule's result depends only on its key
         for rule, tup in want:
             if rule == "duality":
@@ -318,7 +334,13 @@ def test_reductions_tables_match_the_per_item_rewrites(monkeypatch, k, n, trunc,
             elif rule == "third-row":
                 assert tup[:2] == ((lam[0] - lam[2], lam[1] - lam[2], 0), (mu[0] - mu[2], mu[1] - mu[2], 0))
                 same((rule, lam[2] + mu[2], nu), (tup[2], tup[3] - d))
-            elif rule != "dual-shift":
+            elif rule == "dual-shift":
+                # d is read only as d >= 1 and d - 1
+                assert d >= 1 or tup is None, item
+                assert tup is None or tup[3] == d - 1, item
+                if d >= 1:
+                    same((rule, lam, mu, nu), tup and tup[:3])
+            else:
                 assert tup is None or tup[1] == mu, (rule, item)
                 same((rule, lam, nu, d), tup and (tup[0], tup[2], tup[3]))
 
@@ -326,7 +348,8 @@ def test_reductions_tables_match_the_per_item_rewrites(monkeypatch, k, n, trunc,
 def test_reductions_call_each_rewrite_once_per_key(monkeypatch):
     ctx = context(3, 6)
     basis = len(all_partitions(ctx))
-    calls = dict.fromkeys(["reduce_lemred", "reduce_deg_one", "reduce_higher", "duality", "_reduce_third_row"], 0)
+    rewrites = ["reduce_lemred", "reduce_deg_one", "reduce_higher", "duality", "reduce_dual_shift"]
+    calls = dict.fromkeys([*rewrites, "_reduce_third_row", "_strip_third_row"], 0)
     sizes = []
 
     def counted(name, fn):
@@ -338,13 +361,17 @@ def test_reductions_call_each_rewrite_once_per_key(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(qkgr.verify, name, counted(name, getattr(qkgr.verify, name)))
+    items, check = SUITES["reductions"]
 
-    def measured(*args):
-        # called once per item: the tables' size after the item's misses
-        sizes.append(len(_WORKER["mu_free"][1]) + len(_WORKER["duals"]) + len(_WORKER["third"]))
-        return reduce_dual_shift(*args)
+    def measured(item, ctx):
+        # the tables' size after each item's misses
+        got = check(item, ctx)
+        _, mu_free, per_mu = _WORKER["lam"]
+        per_lam = len(mu_free) + sum(1 + len(reads[2]) for reads in per_mu.values())
+        sizes.append(per_lam + len(_WORKER["duals"]) + len(_WORKER["third"]))
+        return got
 
-    monkeypatch.setattr(qkgr.verify, "reduce_dual_shift", measured)
+    monkeypatch.setitem(SUITES, "reductions", (items, measured))
     rep = run_suite("reductions", 3, 6)
     assert _counts(rep) == (40_000, 169_296)
     assert calls == {
@@ -352,12 +379,16 @@ def test_reductions_call_each_rewrite_once_per_key(monkeypatch):
         "reduce_deg_one": 2_000,
         "reduce_higher": 2_000,
         "duality": 400,
+        "reduce_dual_shift": 8_000,  # once per (lam, mu, nu), 40,000 when per item
         "_reduce_third_row": 140,
+        "_strip_third_row": 800,  # twice per (lam, mu); 80,000 when per item
     }
     assert _WORKER == {}
-    # per lam: (nu, d); duality: (mu, nu); third-row: (lam_3 + mu_3, nu)
+    # per lam: (nu, d), and per mu the getters and the dual-shift rewrites
+    # by nu; duality: (mu, nu); third-row: (lam_3 + mu_3, nu)
     assert len(sizes) == 40_000
-    assert max(sizes) <= basis * (ctx.trunc + 1) + basis**2 + (2 * ctx.width + 1) * basis
+    bound = basis * (ctx.trunc + 1) + basis * (basis + 1) + basis**2 + (2 * ctx.width + 1) * basis
+    assert max(sizes) <= bound
 
     def raising(*args):
         raise ArithmeticError("broken rewrite")
@@ -369,29 +400,38 @@ def test_reductions_call_each_rewrite_once_per_key(monkeypatch):
 
 
 def test_gr3n_rule_calls_the_rule_as_the_unhoisted_loop(monkeypatch):
-    # the checker reads each nu's shift down by s = lam_3 + mu_3 from a list
-    # built once per run and s; its rule calls must be those of a loop that
-    # calls seidel_power(nu, -s) for every pair, argument for argument, in order
+    # the checker binds the rule once per pair and reads each nu's shift down
+    # by s = lam_3 + mu_3 from a list built once per run and s; its rule
+    # evaluations must be those of a loop that calls seidel_power(nu, -s)
+    # for every pair, argument for argument, in order
     ctx = context(3, 7)
-    calls = []
+    binds, calls = [], []
 
-    def recorded(lam, mu, nu, d, c):
-        calls.append((lam, mu, nu, d, c))
-        return _qlr_gr3(lam, mu, nu, d, c)
+    def recorded(lam, mu, c):
+        binds.append((lam, mu))
+        rule = _qlr_gr3_pair(lam, mu, c)
 
-    monkeypatch.setattr("qkgr.verify._qlr_gr3", recorded)
+        def evaluated(nu, d):
+            calls.append((lam, mu, nu, d, c))
+            return rule(nu, d)
+
+        return evaluated
+
+    monkeypatch.setattr("qkgr.verify._qlr_gr3_pair", recorded)
     rep = run_suite("gr3n-rule", 3, 7)
     assert rep["ok"] and rep["checks"] == len(calls) == 110_250
-    want, shifts = [], set()
+    want, shifts, pairs = [], set(), []
     for lam, mu in combinations_with_replacement(all_partitions(ctx), 2):
         s = lam[2] + mu[2]
         shifts.add(min(s, 2))
         lam2, mu2 = (lam[0] - lam[2], lam[1] - lam[2], 0), (mu[0] - mu[2], mu[1] - mu[2], 0)
+        pairs.append((lam2, mu2))
         for nu in all_partitions(ctx):
             dd, nu2 = seidel_power(nu, -s, ctx)
             for d in range(ctx.trunc + 1):
                 want.append((lam2, mu2, nu2, d + dd, ctx))
     assert shifts == {0, 1, 2}
+    assert binds == pairs
     assert calls == want
 
 
