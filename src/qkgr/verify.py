@@ -18,17 +18,20 @@ through the caching ``LiftEngine._product``.
 Each check reads what it compares in one step, and each rule or rewrite
 is evaluated once per key it depends on.  ``reductions`` keeps one state
 per lam, dropped when lam changes: the rewrites that pass mu through
-(lemred-1..4, deg-one, higher-s) by (nu, d), and per mu the ``terms.get``
-of O^lam * O^mu and of the stripped pair's product, and the dual-shift
+(lemred-1..4, deg-one, higher-s) by (nu, d); the ``terms.get`` of every
+product it reads, bound once per factor pair; and per mu the getters of
+O^lam * O^mu and of the stripped pair's product, and the dual-shift
 rewrites by nu, stored without their degree d - 1 and read only for
 d >= 1.  Duality is read from a per-run table by (mu, nu), third-row by
 (lam_3 + mu_3, nu).  The tables hold at most |basis|*(trunc+1) +
-|basis|*(|basis|+1) + |basis|^2 + (2*width+1)*|basis| entries.
-``gr3n-rule`` binds the oracle, the pair product's ``terms.get``, and the
-rule (``gr3n._qlr_gr3_pair``) once per pair, and reads each nu's shift
-down by s = lam_3 + mu_3 from a list of (nu, q-power, nu down s) built
-once per run for each s.  Seidel powers and shifts are single reads of the
-orbit table (``partitions.seidel_power``).
+|basis|*(|basis|+1) + 2*|basis|^2 + (2*width+1)*|basis| entries.
+``gr3n-rule`` compares a pair's product with the rule in one dict
+comparison.  The rule (``gr3n._qlr_gr3_pair``) depends only on the
+stripped pair; it is evaluated once per run for each stripped pair, at
+every basis nu2 and every degree a check can read, and its nonzero values
+are kept.  A pair with s = lam_3 + mu_3 reads them through T^s, by a list
+built once per run for each s.  Seidel powers and shifts are single reads
+of the orbit table (``partitions.seidel_power``).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import math
 import os
 import random
 from collections.abc import Sequence
-from itertools import combinations_with_replacement, islice
+from itertools import chain, combinations_with_replacement, compress, islice
 from itertools import product as iterproduct
 
 from .curve_nbhd import curve_neighborhood, gamma_special, rim_peel
@@ -71,12 +74,14 @@ from .seidel import (
 # from the shifting ctx.engine, which outlives the run.  gr3n-rule and
 # positivity read each product once, through its uncached _shifted, and leave
 # only the solved columns; dmin, reductions and associativity reread, and
-# fill its pair cache through _product.  "down" holds gr3n-rule's shifted
-# lists, keyed by s (see _shifted_down).  reductions' state (see
+# fill its pair cache through _product.  gr3n-rule's tables (see
+# _check_gr3n_rule): "grid" is the cells (nu2, e) the rule is read at,
+# "rules" maps a stripped pair to its nonzero values there, and "up" maps s
+# to the (nu, d) each cell is checked at.  reductions' state (see
 # _check_reductions): "lam" is (lam, {(nu, d): the rewrites that pass mu
 # through}, {mu: [O^lam * O^mu's getter, the stripped pair's getter or None,
-# {nu: dual-shift rewrite without d - 1, or None}]}), replaced when lam
-# changes; "duals" maps (mu, nu) to (dual nu, dual mu); "third" maps
+# {nu: (the dual-shift product's getter, nu') or None}]}, _Getters), replaced
+# when lam changes; "duals" maps (mu, nu) to (dual nu, dual mu); "third" maps
 # (lam_3 + mu_3, nu) to (nu down s, its q-power).
 _WORKER: dict = {}
 
@@ -116,31 +121,71 @@ def _check_pieri_equiv(item, ctx):
     return (3, None)
 
 
-def _shifted_down(s, ctx):
-    """(nu, dd, nu down s) for every nu in basis order, with
-    T^-s O^nu = q^dd O^(nu down s): built once per run for each s and kept
-    in _WORKER, so it is cleared with the run."""
-    table = _WORKER["down"]
-    got = table.get(s)
+def _grid(ctx):
+    """The cells (nu2, e) the rule is read at, as three parallel tuples:
+    slot (the cell's position), nu2 and e.  They are every basis nu2 and
+    every e from the least q-power of T^(-2*width) on the basis to trunc.
+    The q-power of T^-s only falls as s grows, and s = lam_3 + mu_3 is at
+    most 2*width, so this is every e = d + dd a check can read.  Built once
+    per run and kept in _WORKER."""
+    grid = _WORKER["grid"]
+    if not grid:
+        low = min(seidel_power(nu, -2 * ctx.width, ctx)[0] for nu in ctx.basis)
+        cells = [(nu2, e) for nu2 in ctx.basis for e in range(low, ctx.trunc + 1)]
+        grid += (tuple(range(len(cells))), *zip(*cells))
+    return grid
+
+
+def _rule_values(lam2, mu2, ctx):
+    """The stripped pair's rule on the grid, as a flat tuple (slot, value,
+    ...) of its nonzero values.  Built once per run for each stripped pair
+    and kept in _WORKER."""
+    rules = _WORKER["rules"]
+    got = rules.get((lam2, mu2))
     if got is None:
-        got = table[s] = [(nu, *seidel_power(nu, -s, ctx)) for nu in all_partitions(ctx)]
+        slots, nus, degrees = _grid(ctx)
+        values = list(map(_qlr_gr3_pair(lam2, mu2, ctx), nus, degrees))
+        got = rules[lam2, mu2] = tuple(chain.from_iterable(compress(zip(slots, values), values)))
+    return got
+
+
+def _keys_up(s, ctx):
+    """Per grid slot (nu2, e), the key (nu, d) a check with shift s reads
+    it at, T^-s O^nu = q^(e - d) O^nu2, or None where d leaves 0..trunc.
+    Built once per run for each s and kept in _WORKER."""
+    up = _WORKER["up"]
+    got = up.get(s)
+    if got is None:
+        slots, _, degrees = _grid(ctx)
+        span, low = len(slots) // len(ctx.basis), degrees[0]
+        got = up[s] = [None] * len(slots)
+        for p, nu2 in enumerate(ctx.basis):
+            q, nu = seidel_power(nu2, s, ctx)
+            for d in range(ctx.trunc + 1):
+                got[p * span + d - q - low] = (nu, d)
     return got
 
 
 def _check_gr3n_rule(pair, ctx):
+    """Compare the pair's product with the rule at every (nu, d) in one
+    step: the stripped pair's rule values, read at nu down s = lam_3 + mu_3
+    and degree d + dd.  On a difference, the count and message are those of
+    the first differing (nu, d) in basis order, then d."""
     lam, mu = pair
-    oracle = ctx.engine._shifted(lam, mu).terms.get
-    rule = _qlr_gr3_pair(_strip_third_row(lam), _strip_third_row(mu), ctx)
-    degrees = range(ctx.trunc + 1)
-    count = 0
-    for nu, dd, nu2 in _shifted_down(lam[2] + mu[2], ctx):
-        for d in degrees:
-            count += 1
-            want = oracle((nu, d), 0)
-            got = rule(nu2, d + dd)
-            if got != want:
-                return (count, f"rule {got} != oracle {want} at {lam},{mu},{nu},q^{d}")
-    return (count, None)
+    values = iter(_rule_values(_strip_third_row(lam), _strip_third_row(mu), ctx))
+    keys = _keys_up(lam[2] + mu[2], ctx)
+    got = {key: v for slot, v in zip(values, values) if (key := keys[slot])}
+    want = ctx.engine._shifted(lam, mu).terms
+    degrees = ctx.trunc + 1
+    if got == want:
+        return (len(ctx.basis) * degrees, None)
+    order = {nu: p for p, nu in enumerate(ctx.basis)}
+    count, nu, d = min(
+        (order[nu] * degrees + d + 1, nu, d)
+        for nu, d in got.keys() | want.keys()
+        if got.get((nu, d), 0) != want.get((nu, d), 0)
+    )
+    return (count, f"rule {got.get((nu, d), 0)} != oracle {want.get((nu, d), 0)} at {lam},{mu},{nu},q^{d}")
 
 
 def _check_dmin(pair, ctx):
@@ -184,6 +229,18 @@ def _broke(rule, item, orig, got):
     return f"{rule} broke {lam},{mu},{nu},q^{d}: {orig} -> {got}"
 
 
+class _Getters(dict):
+    """Factor pair -> its product's ``terms.get``, bound on first read."""
+
+    def __init__(self, product):
+        super().__init__()
+        self.product = product
+
+    def __missing__(self, pair):
+        got = self[pair] = self.product(*pair).terms.get
+        return got
+
+
 def _check_reductions(item, ctx):
     """Compare the constant with each of its one-step rewrites, in order,
     up to the first that differs; a rewrite is looked up only once every
@@ -191,12 +248,11 @@ def _check_reductions(item, ctx):
     lam, mu, nu, d = item
     state = _WORKER["lam"]
     if state[0] != lam:
-        state = _WORKER["lam"] = (lam, {}, {})
-    _, mu_free, per_mu = state
-    product = ctx.engine._product
+        state = _WORKER["lam"] = (lam, {}, {}, _Getters(ctx.engine._product))
+    _, mu_free, per_mu, gets = state
     reads = per_mu.get(mu)
     if reads is None:
-        reads = per_mu[mu] = [product(lam, mu).terms.get, None, {}]
+        reads = per_mu[mu] = [gets[lam, mu], None, {}]
     orig = reads[0]((nu, d), 0)
     rewrites = mu_free.get((nu, d))
     if rewrites is None:
@@ -204,7 +260,7 @@ def _check_reductions(item, ctx):
     count = 0
     for rule, lam1, nu1, d1 in rewrites[0]:  # lemred-1..4
         count += 1
-        got = product(lam1, mu).terms.get((nu1, d1), 0)  # a degree outside 0..trunc reads 0
+        got = gets[lam1, mu]((nu1, d1), 0)  # a degree outside 0..trunc reads 0
         if got != orig:
             return (count, _broke(rule, item, orig, got))
     duals = _WORKER["duals"]
@@ -212,23 +268,23 @@ def _check_reductions(item, ctx):
     if pair is None:
         pair = duals[mu, nu] = duality(lam, mu, nu, d, ctx)[1:3]
     count += 1
-    got = product(lam, pair[0]).terms.get((pair[1], d), 0)
+    got = gets[lam, pair[0]]((pair[1], d), 0)
     if got != orig:
         return (count, _broke("duality", item, orig, got))
     for rule, lam1, nu1, d1 in rewrites[1]:  # deg-one, higher-s
         count += 1
-        got = product(lam1, mu).terms.get((nu1, d1), 0)
+        got = gets[lam1, mu]((nu1, d1), 0)
         if got != orig:
             return (count, _broke(rule, item, orig, got))
     if d >= 1:  # reduce_dual_shift reads d only as d >= 1 and d - 1
         dual_shift = reads[2]
         if nu not in dual_shift:
             tup = reduce_dual_shift(lam, mu, nu, d, ctx)
-            dual_shift[nu] = tup and tup[:3]
+            dual_shift[nu] = tup and (gets[tup[0], tup[1]], tup[2])
         tup = dual_shift[nu]
         if tup is not None:
             count += 1
-            got = product(tup[0], tup[1]).terms.get((tup[2], d - 1), 0)
+            got = tup[0]((tup[1], d - 1), 0)
             if got != orig:
                 return (count, _broke("dual-shift", item, orig, got))
     if ctx.k == 3:
@@ -239,7 +295,7 @@ def _check_reductions(item, ctx):
             down = third[s, nu] = (tup[2], tup[3] - d)
         stripped = reads[1]
         if stripped is None:
-            stripped = reads[1] = product(_strip_third_row(lam), _strip_third_row(mu)).terms.get
+            stripped = reads[1] = gets[_strip_third_row(lam), _strip_third_row(mu)]
         count += 1
         got = stripped((down[0], d + down[1]), 0)
         if got != orig:
@@ -409,7 +465,8 @@ def run_suite(
     chunks = _chunks(len(items), jobs)
     results = []
     _WORKER.update(
-        items=items, check=check, ctx=ctx, direct=LiftEngine(ctx), down={}, lam=(None, {}, {}), duals={}, third={}
+        items=items, check=check, ctx=ctx, direct=LiftEngine(ctx),
+        grid=[], rules={}, up={}, lam=(None, {}, {}, {}), duals={}, third={},
     )
     try:
         if len(chunks) > 1:

@@ -349,7 +349,7 @@ def test_reductions_call_each_rewrite_once_per_key(monkeypatch):
     ctx = context(3, 6)
     basis = len(all_partitions(ctx))
     rewrites = ["reduce_lemred", "reduce_deg_one", "reduce_higher", "duality", "reduce_dual_shift"]
-    calls = dict.fromkeys([*rewrites, "_reduce_third_row", "_strip_third_row"], 0)
+    calls = dict.fromkeys([*rewrites, "_reduce_third_row", "_strip_third_row", "_product"], 0)
     sizes = []
 
     def counted(name, fn):
@@ -360,14 +360,16 @@ def test_reductions_call_each_rewrite_once_per_key(monkeypatch):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(qkgr.verify, name, counted(name, getattr(qkgr.verify, name)))
+        if name != "_product":
+            monkeypatch.setattr(qkgr.verify, name, counted(name, getattr(qkgr.verify, name)))
+    monkeypatch.setattr(LiftEngine, "_product", counted("_product", _lift_product))
     items, check = SUITES["reductions"]
 
     def measured(item, ctx):
         # the tables' size after each item's misses
         got = check(item, ctx)
-        _, mu_free, per_mu = _WORKER["lam"]
-        per_lam = len(mu_free) + sum(1 + len(reads[2]) for reads in per_mu.values())
+        _, mu_free, per_mu, gets = _WORKER["lam"]
+        per_lam = len(mu_free) + sum(1 + len(reads[2]) for reads in per_mu.values()) + len(gets)
         sizes.append(per_lam + len(_WORKER["duals"]) + len(_WORKER["third"]))
         return got
 
@@ -382,12 +384,15 @@ def test_reductions_call_each_rewrite_once_per_key(monkeypatch):
         "reduce_dual_shift": 8_000,  # once per (lam, mu, nu), 40,000 when per item
         "_reduce_third_row": 140,
         "_strip_third_row": 800,  # twice per (lam, mu); 80,000 when per item
+        # once per lam and factor pair; 130,096 when read per compared rewrite
+        "_product": 2_917,
     }
     assert _WORKER == {}
-    # per lam: (nu, d), and per mu the getters and the dual-shift rewrites
-    # by nu; duality: (mu, nu); third-row: (lam_3 + mu_3, nu)
+    # per lam: (nu, d), per mu the getters and the dual-shift rewrites by
+    # nu, and the getters by factor pair; duality: (mu, nu); third-row:
+    # (lam_3 + mu_3, nu)
     assert len(sizes) == 40_000
-    bound = basis * (ctx.trunc + 1) + basis * (basis + 1) + basis**2 + (2 * ctx.width + 1) * basis
+    bound = basis * (ctx.trunc + 1) + basis * (basis + 1) + 2 * basis**2 + (2 * ctx.width + 1) * basis
     assert max(sizes) <= bound
 
     def raising(*args):
@@ -400,39 +405,107 @@ def test_reductions_call_each_rewrite_once_per_key(monkeypatch):
 
 
 def test_gr3n_rule_calls_the_rule_as_the_unhoisted_loop(monkeypatch):
-    # the checker binds the rule once per pair and reads each nu's shift down
-    # by s = lam_3 + mu_3 from a list built once per run and s; its rule
-    # evaluations must be those of a loop that calls seidel_power(nu, -s)
-    # for every pair, argument for argument, in order
+    # the checker binds the rule once per stripped pair and run, and reads
+    # it on a grid of (nu2, e); the grid must hold every (lam2, mu2, nu2,
+    # d + dd) of a loop that calls seidel_power(nu, -s) for every pair and
+    # evaluates the rule there, and the checks stay one per (nu, d)
     ctx = context(3, 7)
-    binds, calls = [], []
+    binds, calls = [], set()
 
     def recorded(lam, mu, c):
         binds.append((lam, mu))
         rule = _qlr_gr3_pair(lam, mu, c)
 
         def evaluated(nu, d):
-            calls.append((lam, mu, nu, d, c))
+            calls.add((lam, mu, nu, d, c))
             return rule(nu, d)
 
         return evaluated
 
     monkeypatch.setattr("qkgr.verify._qlr_gr3_pair", recorded)
     rep = run_suite("gr3n-rule", 3, 7)
-    assert rep["ok"] and rep["checks"] == len(calls) == 110_250
-    want, shifts, pairs = [], set(), []
+    assert rep["ok"] and rep["checks"] == 110_250
+    want, shifts, pairs = set(), set(), set()
     for lam, mu in combinations_with_replacement(all_partitions(ctx), 2):
         s = lam[2] + mu[2]
         shifts.add(min(s, 2))
         lam2, mu2 = (lam[0] - lam[2], lam[1] - lam[2], 0), (mu[0] - mu[2], mu[1] - mu[2], 0)
-        pairs.append((lam2, mu2))
+        pairs.add((lam2, mu2))
         for nu in all_partitions(ctx):
             dd, nu2 = seidel_power(nu, -s, ctx)
             for d in range(ctx.trunc + 1):
-                want.append((lam2, mu2, nu2, d + dd, ctx))
+                want.add((lam2, mu2, nu2, d + dd, ctx))
     assert shifts == {0, 1, 2}
-    assert binds == pairs
-    assert calls == want
+    assert sorted(binds) == sorted(pairs)  # each stripped pair once
+    assert want <= calls
+    assert len(calls) == len(pairs) * len(all_partitions(ctx)) * 9  # e in -4..4
+
+
+def _planted(fault):
+    """_qlr_gr3_pair with fault(nu, d, value) applied to each value."""
+
+    def bound(lam, mu, ctx):
+        rule = _qlr_gr3_pair(lam, mu, ctx)
+        return lambda nu, d: fault(nu, d, rule(nu, d))
+
+    return bound
+
+
+# (fault, {n: (checks, failures)} on Gr(3, n), first failure): recorded when
+# the checker evaluated the rule once per check.  The first two are zero
+# everywhere the true rule is, at degrees 2 and -1 (the latter read after a
+# shift down); a checker that read the rule only at d in {0, 1} passes them
+_FAULTS = [
+    (
+        lambda nu, d, v: 1 if d == 2 and nu[0] == 2 else v,
+        {6: (6_119, 209), 7: (39_410, 626)},
+        "rule 1 != oracle 0 at (0, 0, 0),(0, 0, 0),(2, 0, 0),q^2",
+    ),
+    (
+        lambda nu, d, v: 1 if d == -1 and nu[1] == 1 else v,
+        {6: (9_120, 155), 7: (41_236, 510)},
+        "rule 1 != oracle 0 at (0, 0, 0),(1, 1, 1),(1, 0, 0),q^0",
+    ),
+    (
+        lambda nu, d, v: v + 1 if d == 1 and nu == (3, 2, 1) else v,
+        {6: (11_228, 210), 7: (62_906, 630)},
+        "rule 1 != oracle 0 at (0, 0, 0),(0, 0, 0),(3, 2, 1),q^1",
+    ),
+    (
+        lambda nu, d, v: v - 1 if d == 0 and nu[2] == 1 else v,
+        {6: (3_219, 210), 7: (11_167, 630)},
+        "rule -1 != oracle 0 at (0, 0, 0),(0, 0, 0),(1, 1, 1),q^0",
+    ),
+    (lambda nu, d, v: 7, {6: (210, 210), 7: (630, 630)}, "rule 7 != oracle 1 at (0, 0, 0),(0, 0, 0),(0, 0, 0),q^0"),
+]
+
+
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("fault, counts, first", _FAULTS, ids=["d2", "d-1", "d1", "d0", "seven"])
+def test_gr3n_rule_reports_planted_faults_as_the_pointwise_check(monkeypatch, fault, counts, first, n):
+    monkeypatch.setattr("qkgr.verify._qlr_gr3_pair", _planted(fault))
+    for jobs in (1, 2):
+        rep = run_suite("gr3n-rule", 3, n, jobs=jobs)
+        assert (rep["checks"], rep["failures"], rep["first_failure"]) == (*counts[n], first), jobs
+
+
+def test_gr3n_rule_run_leaves_no_worker_state(monkeypatch):
+    assert run_suite("gr3n-rule", 3, 6)["ok"]
+    assert _WORKER == {}
+    bound = []
+
+    def raising(lam, mu, ctx):
+        # the 20th stripped pair the run binds, after its tables have filled
+        bound.append((lam, mu))
+        if len(bound) == 20:
+            raise ArithmeticError("broken rule")
+        return _qlr_gr3_pair(lam, mu, ctx)
+
+    monkeypatch.setattr("qkgr.verify._qlr_gr3_pair", raising)
+    with pytest.raises(ArithmeticError, match="broken rule"):
+        run_suite("gr3n-rule", 3, 6)
+    assert len(bound) == 20
+    assert _WORKER == {}
 
 
 @pytest.mark.parametrize("suite, k, n", [("seidel", 2, 5), ("seidel", 4, 7), ("dmin", 3, 6)])
