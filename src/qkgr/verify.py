@@ -127,12 +127,12 @@ def _grid(ctx):
     every e from the least q-power of T^(-2*width) on the basis to trunc.
     The q-power of T^-s only falls as s grows, and s = lam_3 + mu_3 is at
     most 2*width, so this is every e = d + dd a check can read.  Built once
-    per run and kept in _WORKER."""
+    per run and kept in _WORKER; the rule tables share its slot ints."""
     grid = _WORKER["grid"]
-    if not grid:
+    if grid is None:
         low = min(seidel_power(nu, -2 * ctx.width, ctx)[0] for nu in ctx.basis)
         cells = [(nu2, e) for nu2 in ctx.basis for e in range(low, ctx.trunc + 1)]
-        grid += (tuple(range(len(cells))), *zip(*cells))
+        grid = _WORKER["grid"] = (tuple(range(len(cells))), *zip(*cells))
     return grid
 
 
@@ -466,7 +466,7 @@ def run_suite(
     results = []
     _WORKER.update(
         items=items, check=check, ctx=ctx, direct=LiftEngine(ctx),
-        grid=[], rules={}, up={}, lam=(None, {}, {}, {}), duals={}, third={},
+        grid=None, rules={}, up={}, lam=(None, {}, {}, {}), duals={}, third={},
     )
     try:
         if len(chunks) > 1:
