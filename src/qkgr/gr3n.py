@@ -17,8 +17,16 @@ mu shifted.  A sweep over nu and d for one pair thus makes a handful of
 product lookups instead of one per constant; ``qlr_gr3`` and ``_qlr_gr3``
 bind the pair for a single constant.
 
-Every value is checked against the brute-force product oracle in the test
-suite, for all of Gr(3, 6) through Gr(3, 10).
+The test suite compares the rule pointwise with ``structure_constant`` on
+Gr(3, 6) and Gr(3, 7), and the ``gr3n-rule`` sweep compares it at every
+(lam, mu, nu, d) of Gr(3, 6) through Gr(3, 10) with the shifting product
+``ctx.engine._shifted``.  Both oracles read the products of
+``ctx.engine``, and so does the rule.  At degree zero and in cases (1) and
+(2) the rule reads a classical product that is an orbit shift of the pair
+the oracle reads, so both sides come from the same stored representative
+product.  Those are most of the values the sweep compares, and on them it
+checks the case choice and the Seidel bookkeeping, not the value; only
+case (3) is a closed formula checked against the engine.
 """
 
 from __future__ import annotations

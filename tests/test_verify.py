@@ -303,16 +303,21 @@ def test_reductions_tables_match_the_per_item_rewrites(monkeypatch, k, n, trunc,
     # per-lam state.  Every constant the checker reads is logged, per item:
     # the item's own, then each rewrite it compares, in order
     log = []
-    items, check = SUITES["reductions"]
+    suite = SUITES["reductions"]
 
-    def logged_check(item, ctx):
-        log.append([])
-        return check(item, ctx)
+    def logged_suite(ctx):
+        items, check = suite(ctx)
+
+        def logged_check(item):
+            log.append([])
+            return check(item)
+
+        return items, logged_check
 
     def logged_product(self, lam, mu):
         return SimpleNamespace(terms=_LoggedTerms(log, (lam, mu), _lift_product(self, lam, mu).terms))
 
-    monkeypatch.setitem(SUITES, "reductions", (items, logged_check))
+    monkeypatch.setitem(SUITES, "reductions", logged_suite)
     monkeypatch.setattr(LiftEngine, "_product", logged_product)
     rep = run_suite("reductions", k, n, trunc=trunc, sample=sample, seed=1)
     items, _, ctx = _prepare("reductions", k, n, trunc, sample, 1)
@@ -363,17 +368,22 @@ def test_reductions_call_each_rewrite_once_per_key(monkeypatch):
         if name != "_product":
             monkeypatch.setattr(qkgr.verify, name, counted(name, getattr(qkgr.verify, name)))
     monkeypatch.setattr(LiftEngine, "_product", counted("_product", _lift_product))
-    items, check = SUITES["reductions"]
+    suite = SUITES["reductions"]
 
-    def measured(item, ctx):
-        # the tables' size after each item's misses
-        got = check(item, ctx)
-        _, mu_free, per_mu, gets = _WORKER["lam"]
-        per_lam = len(mu_free) + sum(1 + len(reads[2]) for reads in per_mu.values()) + len(gets)
-        sizes.append(per_lam + len(_WORKER["duals"]) + len(_WORKER["third"]))
-        return got
+    def measured_suite(ctx):
+        items, check = suite(ctx)
+        run = check.__self__  # the run's _Reductions
 
-    monkeypatch.setitem(SUITES, "reductions", (items, measured))
+        def measured(item):
+            # the tables' size after each item's misses
+            got = check(item)
+            per_mu = sum(1 + len(reads.dual_shift) for reads in run.per_mu.values())
+            sizes.append(len(run.mu_free) + per_mu + len(run.gets) + len(run.duals) + len(run.third))
+            return got
+
+        return items, measured
+
+    monkeypatch.setitem(SUITES, "reductions", measured_suite)
     rep = run_suite("reductions", 3, 6)
     assert _counts(rep) == (40_000, 169_296)
     assert calls == {
@@ -489,22 +499,36 @@ def test_gr3n_rule_reports_planted_faults_as_the_pointwise_check(monkeypatch, fa
         assert (rep["checks"], rep["failures"], rep["first_failure"]) == (*counts[n], first), jobs
 
 
-def test_gr3n_rule_run_leaves_no_worker_state(monkeypatch):
-    assert run_suite("gr3n-rule", 3, 6)["ok"]
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_runs_leave_no_worker_state(monkeypatch, suite, jobs):
+    # while a run checks its items, _WORKER holds them and the run's check
+    # and nothing else; it is empty after a clean run and after a check that
+    # raises at the 4th item a process checks, once the run's tables filled
+    k, n = (3, 6) if suite == "gr3n-rule" else (2, 5)
+    build = SUITES[suite]
+    checked, raise_at = [], []
+
+    def watched_suite(ctx):
+        items, check = build(ctx)
+
+        def watched(item):
+            assert set(_WORKER) == {"items", "check"}, sorted(_WORKER)
+            checked.append(item)
+            if len(checked) in raise_at:
+                raise ArithmeticError("broken check")
+            return check(item)
+
+        return items, watched
+
+    monkeypatch.setitem(SUITES, suite, watched_suite)
+    rep = run_suite(suite, k, n, jobs=jobs)
+    assert _counts(rep) == PINNED_COUNTS[suite]
     assert _WORKER == {}
-    bound = []
-
-    def raising(lam, mu, ctx):
-        # the 20th stripped pair the run binds, after its tables have filled
-        bound.append((lam, mu))
-        if len(bound) == 20:
-            raise ArithmeticError("broken rule")
-        return _qlr_gr3_pair(lam, mu, ctx)
-
-    monkeypatch.setattr("qkgr.verify._qlr_gr3_pair", raising)
-    with pytest.raises(ArithmeticError, match="broken rule"):
-        run_suite("gr3n-rule", 3, 6)
-    assert len(bound) == 20
+    checked.clear()
+    raise_at.append(4)
+    with pytest.raises(ArithmeticError, match="broken check"):
+        run_suite(suite, k, n, jobs=jobs)
     assert _WORKER == {}
 
 
@@ -579,22 +603,28 @@ def test_sweeps_do_not_validate_per_check(monkeypatch, suite, k, n):
 
 
 def test_sweeps_leave_one_context_per_ring():
-    # qlr_gr3 takes the sweep's own context instead of looking up its ring
+    # qlr_gr3 takes the sweep's own context instead of looking up its ring,
+    # and the direct LiftEngine of a seidel or dmin run is dropped with it
     script = (
         "import gc, json\n"
-        "from qkgr.partitions import GrContext\n"
+        "from qkgr.partitions import GrContext, context\n"
+        "from qkgr.qk_engine import LiftEngine\n"
         "from qkgr.verify import run_suite\n"
         "run_suite('gr3n-rule', 3, 6)\n"
         "run_suite('reductions', 3, 6)\n"
+        "for suite in ('seidel', 'dmin'):\n"
+        "    for jobs in (1, 2):\n"
+        "        assert run_suite(suite, 3, 6, jobs=jobs)['ok']\n"
         "gc.collect()\n"
         "live = [(c.k, c.n, c.trunc) for c in gc.get_objects() if isinstance(c, GrContext)]\n"
-        "print(json.dumps(live))\n"
+        "engines = [e is context(3, 6).engine for e in gc.get_objects() if isinstance(e, LiftEngine)]\n"
+        "print(json.dumps([live, engines]))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[3, 6, 4]]
+    assert json.loads(proc.stdout) == [[[3, 6, 4]], [True]]
 
 
 def _fresh(script):
