@@ -24,6 +24,7 @@ import math
 import os
 import random
 from collections.abc import Sequence
+from functools import partial
 from itertools import chain, combinations_with_replacement, compress, islice
 from itertools import product as iterproduct
 
@@ -86,6 +87,8 @@ def _pairs(ctx):
 def _seidel(ctx):
     """T^n = q^k, H^n = q^(n-k), HT = q, and T against an unshifted LiftEngine."""
     k, n = ctx.k, ctx.n
+    if ctx.trunc < max(k, n - k):  # T^n = q^k and H^n = q^(n-k) must fit under it
+        raise ValueError(f"the seidel suite needs trunc >= max(k, n-k) = {max(k, n - k)}, got {ctx.trunc}")
     direct = LiftEngine(ctx)
 
     def check(lam):
@@ -139,6 +142,26 @@ class _Table(dict):
         return got
 
 
+def _rule_values(ctx, grid, stripped):
+    """The stripped pair's nonzero rule values on the grid, flat: (slot, value, ...)."""
+    slots, nus, degrees = grid
+    values = list(map(_qlr_gr3_pair(*stripped, ctx), nus, degrees))
+    return tuple(chain.from_iterable(compress(zip(slots, values), values)))
+
+
+def _keys_up(ctx, grid, s):
+    """Per grid slot (nu2, e), the key (nu, d) a check with shift s reads it
+    at, T^-s O^nu = q^(e - d) O^nu2, or None where d leaves 0..trunc."""
+    slots, _, degrees = grid
+    span, low = len(slots) // len(ctx.basis), degrees[0]
+    keys = [None] * len(slots)
+    for p, nu2 in enumerate(ctx.basis):
+        q, nu = seidel_power(nu2, s, ctx)
+        for d in range(ctx.trunc + 1):
+            keys[p * span + d - q - low] = (nu, d)
+    return keys
+
+
 class _Gr3nRule:
     """gr3n-rule's run: the rule bound once per stripped pair.
 
@@ -148,7 +171,8 @@ class _Gr3nRule:
     trunc.  The q-power of T^-s only falls as s grows, and s = lam_3 + mu_3
     is at most 2*width, so this is every e = d + dd a check can read.
     ``rules`` (stripped pair -> ``_rule_values``) and ``up`` (s ->
-    ``_keys_up``) fill on first read.
+    ``_keys_up``) fill on first read; their fills hold no reference to the
+    run, so the run is freed as soon as ``run_suite`` drops its check.
     """
 
     def __init__(self, ctx):
@@ -156,32 +180,14 @@ class _Gr3nRule:
         low = min(seidel_power(nu, -2 * ctx.width, ctx)[0] for nu in ctx.basis)
         cells = [(nu2, e) for nu2 in ctx.basis for e in range(low, ctx.trunc + 1)]
         self.grid = (tuple(range(len(cells))), *zip(*cells))
-        self.rules, self.up = _Table(self._rule_values), _Table(self._keys_up)
-
-    def _rule_values(self, stripped):
-        """The stripped pair's nonzero rule values on the grid, flat: (slot, value, ...)."""
-        slots, nus, degrees = self.grid
-        values = list(map(_qlr_gr3_pair(*stripped, self.ctx), nus, degrees))
-        return tuple(chain.from_iterable(compress(zip(slots, values), values)))
-
-    def _keys_up(self, s):
-        """Per grid slot (nu2, e), the key (nu, d) a check with shift s reads
-        it at, T^-s O^nu = q^(e - d) O^nu2, or None where d leaves 0..trunc."""
-        ctx = self.ctx
-        slots, _, degrees = self.grid
-        span, low = len(slots) // len(ctx.basis), degrees[0]
-        keys = [None] * len(slots)
-        for p, nu2 in enumerate(ctx.basis):
-            q, nu = seidel_power(nu2, s, ctx)
-            for d in range(ctx.trunc + 1):
-                keys[p * span + d - q - low] = (nu, d)
-        return keys
+        self.rules = _Table(partial(_rule_values, ctx, self.grid))
+        self.up = _Table(partial(_keys_up, ctx, self.grid))
 
     def _check(self, pair):
-        """Compare the pair's product with the rule at every (nu, d) in one
-        step: the stripped pair's rule values, read at nu down s = lam_3 +
-        mu_3 and degree d + dd.  On a difference, the count and message are
-        those of the first differing (nu, d) in basis order, then d."""
+        """Compare the pair's product with the rule at every (nu, d) at once:
+        the stripped pair's rule values, read at nu down s = lam_3 + mu_3 and
+        degree d + dd.  On a difference, the count and message are those of
+        the first differing (nu, d) in basis order, then d."""
         lam, mu = pair
         ctx = self.ctx
         values = iter(self.rules[_strip_third_row(lam), _strip_third_row(mu)])
@@ -270,9 +276,8 @@ class _Reductions:
         self.ctx, self.lam, self.duals, self.third = ctx, None, {}, {}
 
     def _check(self, item):
-        """Compare the constant with each of its one-step rewrites, in order,
-        up to the first that differs; a rewrite is looked up only once every
-        comparison before it has passed."""
+        """Compare the constant with its one-step rewrites in order, up to the
+        first that differs, looking each up only once every earlier one passed."""
         lam, mu, nu, d = item
         ctx = self.ctx
         if self.lam != lam:
@@ -412,11 +417,6 @@ def _prepare(name, k, n, trunc, sample, seed):
     if name == "gr3n-rule" and k != 3:
         raise ValueError("the gr3n-rule suite needs k = 3")
     ctx = context(k, n, trunc)
-    if name == "seidel" and ctx.trunc < max(k, n - k):
-        # T^n = q^k and H^n = q^(n-k) must fit under the truncation
-        raise ValueError(
-            f"the seidel suite needs trunc >= max(k, n-k) = {max(k, n - k)}, got {trunc}"
-        )
     items, check = SUITES[name](ctx)
     if sample is not None and sample < len(items):
         items = random.Random(seed).sample(items, sample)

@@ -1,10 +1,12 @@
 import ast
+import gc
 import json
 import os
 import random
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from itertools import combinations_with_replacement
 from pathlib import Path
 from types import SimpleNamespace
@@ -530,6 +532,27 @@ def test_runs_leave_no_worker_state(monkeypatch, suite, jobs):
     with pytest.raises(ArithmeticError, match="broken check"):
         run_suite(suite, k, n, jobs=jobs)
     assert _WORKER == {}
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_run_state_is_freed_with_the_run(monkeypatch, suite):
+    # the run's check and its tables hold no reference cycle, so they are
+    # freed when run_suite drops the check, with the cycle collector off
+    k, n = (3, 6) if suite == "gr3n-rule" else (2, 5)
+    build, owners = SUITES[suite], []
+
+    def recorded(ctx):
+        items, check = build(ctx)
+        owners.append(weakref.ref(getattr(check, "__self__", check)))
+        return items, check
+
+    monkeypatch.setitem(SUITES, suite, recorded)
+    gc.disable()
+    try:
+        assert run_suite(suite, k, n)["ok"]
+        assert owners[0]() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("suite, k, n", [("seidel", 2, 5), ("seidel", 4, 7), ("dmin", 3, 6)])
