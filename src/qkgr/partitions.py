@@ -25,8 +25,14 @@ class GrContext:
 
     The context owns its ring's basis, Seidel orbit table and default
     engine, each built on first use, and ``width`` = n - k, stored once.
-    Contexts compare and hash by (k, n, trunc), and assigning or deleting
-    an attribute raises AttributeError.
+    It also owns the lift tables that every ``LiftEngine`` of the ring
+    shares and fills on first use: ``ids`` (class -> integer id, the unit
+    O^(0) being id 0 from the start), ``parts`` (id -> class), ``rows``
+    (Pieri index i -> {vector key: Pieri row}) and ``steps`` (id ->
+    checked Pieri step); see ``qk_engine.LiftEngine``.  They depend only
+    on the ring, so dropping an engine frees its solved columns and the
+    rows stay here.  Contexts compare and hash by (k, n, trunc), and
+    assigning or deleting an attribute raises AttributeError.
 
     A plain class rather than a frozen dataclass: importing ``dataclasses``
     pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, about 1 MB and
@@ -47,7 +53,9 @@ class GrContext:
             raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
         if trunc < min(k, n - k) + 1:
             raise ValueError(f"truncation {trunc} below min(k, n-k)+1 for Gr({k}, {n})")
-        for name, value in (("k", k), ("n", n), ("trunc", trunc), ("width", n - k), ("orbits", {})):
+        unit = (0,) * k
+        fields = dict(k=k, n=n, trunc=trunc, width=n - k, orbits={}, ids={unit: 0}, parts=[unit], rows={}, steps={})
+        for name, value in fields.items():
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):

@@ -40,6 +40,11 @@ def classical_terms(ctx: GrContext, lam, i: int):
     """Terms (nu, 0, coeff) of the classical product O^i . O^lam."""
     _check_index(i, ctx)
     validate(lam, ctx)
+    return _classical_terms(ctx, lam, i)
+
+
+def _classical_terms(ctx: GrContext, lam, i: int):
+    """``classical_terms`` on a valid shape and index, unchecked."""
     out = []
     for nu in horizontal_strips_over(lam, ctx):
         s = size(nu) - size(lam)
@@ -54,8 +59,17 @@ def classical_terms(ctx: GrContext, lam, i: int):
 
 @cache
 def quantum_terms(ctx: GrContext, lam, i: int):
-    """Terms (nu, d, coeff) of the quantum product O^i * O^lam."""
-    out = list(classical_terms(ctx, lam, i))
+    """Terms (nu, d, coeff) of the quantum product O^i * O^lam; a miss
+    validates the shape and the index."""
+    _check_index(i, ctx)
+    validate(lam, ctx)
+    return _quantum_terms(ctx, lam, i)
+
+
+def _quantum_terms(ctx: GrContext, lam, i: int):
+    """``quantum_terms`` on a valid shape and index, unchecked and uncached:
+    ``LiftEngine`` stores each row it reads once per ring, on class ids."""
+    out = list(_classical_terms(ctx, lam, i))
     for nu, rho in outer_rim_removals(lam, ctx):
         e = size(nu) + ctx.n - size(lam) - i
         if 0 <= e <= rho:
@@ -102,7 +116,7 @@ def apply_terms(vec: dict, i: int, ctx: GrContext) -> dict:
 
     ``vec`` maps (partition, d) to integers; each term is expanded through
     ``quantum_terms`` and terms above ``ctx.trunc`` are dropped.
-    ``Gr3Engine`` calls it; ``LiftEngine`` applies Pieri rows of its own,
+    ``Gr3Engine`` calls it; ``LiftEngine`` applies the ring's Pieri rows,
     on integer ids.
     """
     _check_index(i, ctx)

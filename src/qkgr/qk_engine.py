@@ -59,12 +59,8 @@ from .partitions import (
     seidel_power,
     validate,
 )
-from .pieri import apply_terms, quantum_terms
+from .pieri import _quantum_terms, apply_terms
 from .seidel import _shift_terms
-
-
-def _zero(ctx: GrContext):
-    return (0,) * ctx.k
 
 
 def _rank(p) -> tuple:
@@ -81,42 +77,49 @@ def _strip_third_row(lam):
 class LiftEngine:
     """Multiplication by one quantum Pieri step per class; see module docstring.
 
-    Internally a partition is an integer id, handed out the first time the
-    engine meets the partition, so one product never enumerates the ring.
-    A q-graded vector is a dict keyed by ``d * C(n, k) + id``; a key below
-    the stride C(n, k) is a q^0 term.  Id 0 is the unit class O^(0).
+    Internally a partition is an integer id, handed out the first time an
+    engine of the ring meets the partition, so one product never
+    enumerates the ring.  A q-graded vector is a dict keyed by
+    ``d * C(n, k) + id``; a key below the stride C(n, k) is a q^0 term.
+    Id 0 is the unit class O^(0).
+
+    The ids and the Pieri rows and steps depend only on the ring, so they
+    live on the context, one copy per ring that every engine of it reads
+    and fills: ``ctx.ids`` (partition -> id), ``ctx.parts`` (id ->
+    partition), ``ctx.rows`` (Pieri index i -> {vector key: ((key,
+    coeff), ...)}) and ``ctx.steps`` (id -> (tail id, ((id, coeff), ...)),
+    diagonal left out).  An engine keeps only its solved columns, its
+    orbit representatives and its pair cache; dropping it frees those,
+    and the rows stay with the ring.
     """
 
     def __init__(self, ctx: GrContext):
         self.ctx = ctx
         self._stride = comb(ctx.n, ctx.k)
-        self._ids = {}  # partition -> id
-        self._parts = []  # id -> partition
-        self._rows = {}  # Pieri index i -> {vector key: ((key, coeff), ...)}
-        self._steps = {}  # id -> (tail id, ((id, coeff), ...)), diagonal left out
         self._columns = {}  # column id -> {id: solved product vector}
         self._reps = {}  # partition -> (rho, a, d_a), see _rep
         self._elements = {}  # _product's (lam, mu) with lam >= mu -> O^lam * O^mu
-        self._intern(_zero(ctx))
 
     def _intern(self, lam) -> int:
-        got = self._ids.get(lam)
+        """The ring's id of lam; the first intern of a class validates it."""
+        ctx = self.ctx
+        got = ctx.ids.get(lam)
         if got is None:
-            validate(lam, self.ctx)
-            got = self._ids[lam] = len(self._parts)
-            self._parts.append(lam)
+            validate(lam, ctx)
+            got = ctx.ids[lam] = len(ctx.parts)
+            ctx.parts.append(lam)
         return got
 
     def _row(self, i: int, key: int) -> tuple:
         """The Pieri row of O^i on the vector key, shifted by its q-degree.
         A product stops at q^min(k, n-k) and a Pieri term adds at most q^1,
         so a term above trunc raises OverflowError; none is dropped."""
-        stride = self._stride
+        ctx, stride = self.ctx, self._stride
         d, lid = divmod(key, stride)
-        lam, trunc = self._parts[lid], self.ctx.trunc
+        lam, trunc = ctx.parts[lid], ctx.trunc
         limit = (trunc + 1) * stride
         row = []
-        for nu, dd, c in quantum_terms(self.ctx, lam, i):
+        for nu, dd, c in _quantum_terms(ctx, lam, i):
             tgt = (d + dd) * stride + self._intern(nu)
             if tgt >= limit:
                 raise OverflowError(f"q-degree {d + dd} exceeds truncation {trunc} in O^{i} * q^{d} O^{lam}")
@@ -125,7 +128,7 @@ class LiftEngine:
 
     def _apply_pieri(self, i: int, vec: dict) -> dict:
         """O^i times a q-graded vector; a term above trunc raises (see ``_row``)."""
-        rows = self._rows.setdefault(i, {})
+        rows = self.ctx.rows.setdefault(i, {})
         out = {}
         get = out.get
         for key, c in vec.items():
@@ -140,10 +143,11 @@ class LiftEngine:
         """(tail id, off-diagonal terms) of O^(rho_1) * O^(tail rho) at the
         unit, checked: q-free, 1 on rho, every other class above rho in
         basis order with at most as many nonzero rows."""
-        got = self._steps.get(rid)
+        steps, parts = self.ctx.steps, self.ctx.parts
+        got = steps.get(rid)
         if got is not None:
             return got
-        rho = self._parts[rid]
+        rho = parts[rid]
         tid = self._intern(rho[1:] + (0,))
         row = self._row(rho[0], tid)
         if dict(row).get(rid) != 1:
@@ -153,10 +157,10 @@ class LiftEngine:
         terms = tuple((c, a) for c, a in row if c != rid)
         rows, key = _rank(rho)[0], basis_key(rho)
         for c, _ in terms:
-            nu = self._parts[c]
+            nu = parts[c]
             if basis_key(nu) <= key or _rank(nu)[0] > rows:
                 raise ArithmeticError(f"Pieri step not triangular at {rho}")
-        got = self._steps[rid] = (tid, terms)
+        got = steps[rid] = (tid, terms)
         return got
 
     def _solve_column(self, mid: int, rid: int) -> dict:
@@ -182,7 +186,7 @@ class LiftEngine:
                 stack += todo
                 continue
             stack.pop()
-            x = self._apply_pieri(self._parts[b][0], col[tid])
+            x = self._apply_pieri(self.ctx.parts[b][0], col[tid])
             get = x.get
             for c, a in terms:
                 for tgt, v in col[c].items():
@@ -191,7 +195,7 @@ class LiftEngine:
         return col
 
     def _element(self, vec: dict) -> QKElement:
-        parts, stride = self._parts, self._stride
+        parts, stride = self.ctx.parts, self._stride
         return QKElement({(parts[t % stride], t // stride): c for t, c in vec.items()})
 
     def product_via_column(self, row, col) -> QKElement:
@@ -242,7 +246,7 @@ class LiftEngine:
         """
         rho, a, da = self._rep(lam)
         sigma, b, db = self._rep(mu)
-        parts, stride = self._parts, self._stride
+        parts, stride = self.ctx.parts, self._stride
         terms = (((parts[t % stride], t // stride), c) for t, c in self._solved(rho, sigma).items())
         return _shift_terms(terms, -a - b, da + db, self.ctx)
 
@@ -282,8 +286,8 @@ class LiftEngine:
         sorting puts their degrees at the two ends: OverflowError if the
         last is above trunc, ArithmeticError if the first is below 0.
         """
-        ctx, parts = self.ctx, self._parts
-        basis, n, k, trunc = ctx.basis, ctx.n, ctx.k, ctx.trunc
+        ctx = self.ctx
+        basis, parts, n, k, trunc = ctx.basis, ctx.parts, ctx.n, ctx.k, ctx.trunc
         size = len(basis)
         pos = {lam: i for i, lam in enumerate(basis)}
         shift = [[] for _ in range(n)]
@@ -367,10 +371,10 @@ class LiftEngine:
         for every lam: each step's correction must cancel its other terms.
         The classes come from ``ctx.basis``, so they are solved through the
         unvalidated core and compared on ids."""
-        unit = _zero(self.ctx)
+        unit = self.ctx.parts[0]
         for lam in self.ctx.basis:
             got = self._vector(lam, unit)
-            if got != {self._ids[lam]: 1}:
+            if got != {self.ctx.ids[lam]: 1}:
                 raise ArithmeticError(f"lift does not return O^{lam} on the unit column: {self._element(got)}")
 
 
@@ -551,7 +555,8 @@ def _verify_recursion(lam, mu, nu, d: int, ctx: GrContext) -> bool:
 def giambelli_lift_general(ctx: GrContext) -> LiftEngine:
     """A fresh, unit-checked lift engine: the ring's full table through its
     ``entries``, ``dump_jsonl`` and ``max_q_degree``.  The caller is its only
-    owner, so dropping it frees every solved column."""
+    owner, so dropping it frees every solved column; the class ids and the
+    Pieri rows and steps it reads and fills stay with the ring (``ctx``)."""
     eng = LiftEngine(ctx)
     eng.check_unit_column()
     return eng

@@ -71,13 +71,24 @@ def test_context_is_immutable_and_compares_by_ring():
     assert ctx == context(3, 8) and (ctx.k, ctx.n, ctx.trunc, ctx.width) == (3, 8, 4, 5)
     assert ctx != GrContext(3, 8, 5) and hash(ctx) != hash(GrContext(3, 8, 5))
     assert (ctx == (3, 8, 4)) is False
-    for name in ("k", "width", "orbits", "new_field"):
+    for name in ("k", "width", "orbits", "ids", "rows", "new_field"):
         with pytest.raises(AttributeError):
             setattr(ctx, name, 1)
-    for name in ("k", "width", "orbits"):
+    for name in ("k", "width", "orbits", "ids", "rows"):
         with pytest.raises(AttributeError):
             delattr(ctx, name)
-    assert vars(ctx) == {"k": 3, "n": 8, "trunc": 4, "width": 5, "orbits": {}}
+    # the lift tables start with the unit class interned as id 0
+    assert vars(ctx) == {
+        "k": 3,
+        "n": 8,
+        "trunc": 4,
+        "width": 5,
+        "orbits": {},
+        "ids": {(0, 0, 0): 0},
+        "parts": [(0, 0, 0)],
+        "rows": {},
+        "steps": {},
+    }
 
 
 def test_normalize_and_parse():

@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from qkgr.element import QKElement
-from qkgr.partitions import all_partitions, context, dual, seidel_orbit, seidel_power, size, validate
-from qkgr.pieri import quantum_pieri, quantum_terms
+from qkgr.partitions import GrContext, all_partitions, context, dual, seidel_orbit, seidel_power, size, validate
+from qkgr.pieri import _quantum_terms, quantum_pieri, quantum_terms
 from qkgr.qk_engine import (
     Gr3Engine,
     LiftEngine,
@@ -362,14 +362,15 @@ def test_dropped_lift_table_frees_its_engine():
 
 
 def test_check_unit_column_catches_a_bad_expansion():
-    ctx = context(3, 6)
+    # the planted step lands in the ring's own table, so the ring is private
+    ctx = GrContext(3, 6, 4)
     LiftEngine(ctx).check_unit_column()
     eng = LiftEngine(ctx)
     rid = eng._intern((1, 1, 0))
     tid, terms = eng._step(rid)
     assert terms
     (c, a), *rest = terms
-    eng._steps[rid] = (tid, ((c, a + 1), *rest))
+    ctx.steps[rid] = (tid, ((c, a + 1), *rest))
     with pytest.raises(ArithmeticError):
         eng.check_unit_column()
 
@@ -377,8 +378,9 @@ def test_check_unit_column_catches_a_bad_expansion():
 def test_table_build_and_dump_validate_only_on_storage_misses(monkeypatch):
     # the classes come from ctx.basis, so the unit-column check and the walk
     # call unvalidated cores; validate runs only where a class is first
-    # interned, its orbit first stored or its Pieri terms first cached
-    ctx = context(4, 9)
+    # interned or its orbit first stored.  A private ring makes every class
+    # a miss; the Pieri rows read the unvalidated _quantum_terms
+    ctx = GrContext(4, 9, 5)
     calls = []
 
     def counted(lam, ctx):
@@ -391,10 +393,10 @@ def test_table_build_and_dump_validate_only_on_storage_misses(monkeypatch):
     assert {"qkgr.partitions", "qkgr.qk_engine"} <= set(bound)
     for name in bound:
         monkeypatch.setattr(f"{name}.validate", counted)
-    orbits, pieri = len(ctx.orbits), quantum_terms.cache_info().misses
+    parts, orbits = len(ctx.parts), len(ctx.orbits)
     table = giambelli_lift_general(ctx)
     table.dump_jsonl(io.StringIO())
-    misses = len(table._parts) + len(ctx.orbits) - orbits + quantum_terms.cache_info().misses - pieri
+    misses = len(ctx.parts) - parts + len(ctx.orbits) - orbits
     assert len(calls) <= misses, (len(calls), misses)
 
 
@@ -414,12 +416,13 @@ def test_pieri_steps_are_unitriangular_and_q_free():
                 assert (size(nu), nu) > (size(rho), rho)
                 assert nu.count(0) >= rho.count(0)
             tid, terms = eng._step(eng._intern(rho))
-            assert eng._parts[tid] == tail
-            assert {(eng._parts[c], 0): a for c, a in terms} == want
+            assert ctx.parts[tid] == tail
+            assert {(ctx.parts[c], 0): a for c, a in terms} == want
 
 
 # each corrupts the Pieri row of O^2 * O^(1,0,0) in Gr(3,6), whose step
-# builds rho = (2,1,0); the unit (id 0) lies below it, (2,1,1) has more rows
+# builds rho = (2,1,0); the unit (id 0) lies below it, (2,1,1) has more rows.
+# The steps belong to the ring, so each test builds a private one
 _CORRUPTIONS = {
     "q-term": (lambda eng, rid, row: row + ((eng._stride + rid, 1),), "q-term"),
     "no diagonal": (lambda eng, rid, row: tuple(t for t in row if t[0] != rid), "not unital"),
@@ -432,7 +435,7 @@ _CORRUPTIONS = {
 def test_corrupted_pieri_step_raises(monkeypatch, kind):
     corrupt, message = _CORRUPTIONS[kind]
     real = LiftEngine._row
-    eng = LiftEngine(C36)
+    eng = LiftEngine(GrContext(3, 6, 4))
     rid, tid = eng._intern((2, 1, 0)), eng._intern((1, 0, 0))
 
     def row(self, i, key):
@@ -447,13 +450,14 @@ def test_corrupted_pieri_step_raises(monkeypatch, kind):
 @pytest.mark.parametrize("k, n", [(2, 5), (3, 6)])
 def test_pieri_term_above_trunc_raises(monkeypatch, k, n):
     # a product stops at q^min(k, n-k) and a Pieri term adds at most q^1, so
-    # the rows never reach past trunc; one that does is an error, not dropped
-    ctx = context(k, n)
+    # the rows never reach past trunc; one that does is an error, not dropped.
+    # The rows belong to the ring, so the ring is private
+    ctx = GrContext(k, n, min(k, n - k) + 1)
 
     def beyond(ctx, lam, i):
-        return quantum_terms(ctx, lam, i) + ((lam, ctx.trunc + 1, 1),)
+        return _quantum_terms(ctx, lam, i) + ((lam, ctx.trunc + 1, 1),)
 
-    monkeypatch.setattr("qkgr.qk_engine.quantum_terms", beyond)
+    monkeypatch.setattr("qkgr.qk_engine._quantum_terms", beyond)
     one = (1,) + (0,) * (k - 1)
     with pytest.raises(OverflowError, match=f"exceeds truncation {ctx.trunc}"):
         LiftEngine(ctx).product_via_column(one, one)
@@ -474,6 +478,47 @@ def test_one_product_does_not_enumerate_the_ring():
     assert peak < 2_000_000
     want = {(2, 1, 1): 1, (2, 2, 0): 1, (3, 1, 0): 1, (2, 2, 1): -1, (3, 1, 1): -1, (3, 2, 0): -1, (3, 2, 1): 1}
     assert got == QKElement({(lam + pad, 0): c for lam, c in want.items()})
+
+
+def test_cold_worst_case_gr7_14_product_peak(fresh):
+    # each Pieri row is stored once, on the ring: when the quantum_terms
+    # cache held every row a second time, this product peaked at 91 MB.  The
+    # digest is that of the product's --json text
+    digest, peak_mb = fresh(
+        "import hashlib, json, resource\n"
+        "from qkgr.partitions import context\n"
+        "from qkgr.qk_engine import product_basis\n"
+        "elem = product_basis((7, 6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1, 1), context(7, 14))\n"
+        "text = json.dumps(elem.to_obj(), separators=(',', ':'))\n"
+        "peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+        "print(json.dumps([hashlib.sha256(text.encode()).hexdigest(), peak_mb]))\n"
+    )
+    assert digest == "93ca9167dd6b10b5346a970406ec59159eb7a6ba91a656342f9ab87d70558a54"
+    assert peak_mb < 70, peak_mb
+
+
+def test_lift_tables_are_one_store_per_ring():
+    # the class ids and the Pieri rows and steps depend only on the ring: an
+    # engine keeps none of them, a second engine solving the same pair reads
+    # what the first stored, and neither fills the quantum_terms cache.
+    # (4,3,0,0) and (4,3,2,0) are orbit representatives, so the shifted
+    # product solves this very pair, (4,3,0,0) as the row
+    ctx = GrContext(4, 9, 5)
+    row, col = (4, 3, 0, 0), (4, 3, 2, 0)
+    cache = quantum_terms.cache_info()
+
+    def sizes():
+        return len(ctx.ids), len(ctx.parts), sum(map(len, ctx.rows.values())), len(ctx.steps)
+
+    assert ctx.engine._rep(row) == (row, 0, 0) and ctx.engine._rep(col) == (col, 0, 0)
+    shifted = ctx.engine.product_basis(row, col)
+    stored = sizes()
+    assert min(stored) > 1
+    direct = LiftEngine(ctx)
+    assert set(vars(direct)) == {"ctx", "_stride", "_columns", "_reps", "_elements"}
+    assert direct.product_via_column(row, col) == shifted
+    assert sizes() == stored
+    assert quantum_terms.cache_info() == cache
 
 
 def test_orbit_tables_match_direct_products():
@@ -572,14 +617,15 @@ def test_table_readers_keep_no_pair_elements():
 
 
 def test_table_reads_solved_vectors_by_basis_position():
-    # an engine hands out ids in the order it meets classes, so the walk
-    # maps each id to its basis position; these two products intern 70
-    # classes first, in an order the unit-column check never produces
-    ctx = context(4, 9)
+    # a ring hands out ids in the order its engines meet classes, so the
+    # walk maps each id to its basis position; on a private ring these two
+    # products intern 70 classes first, in an order the unit-column check
+    # never produces
+    ctx = GrContext(4, 9, 5)
     eng = LiftEngine(ctx)
     eng.product_basis((5, 4, 3, 1), (4, 4, 2, 2))
     eng.product_basis((3, 3, 1, 0), (5, 2, 1, 1))
-    assert len(eng._parts) == 70 and eng._parts != list(ctx.basis[:70])
+    assert len(ctx.parts) == 70 and ctx.parts != list(ctx.basis[:70])
     sink = _HashSink()
     eng.dump_jsonl(sink)
     assert sink.hash.hexdigest() == LIFT_TABLE_SHA256[4, 9]
@@ -602,7 +648,7 @@ def test_orbit_table_rejects_a_corrupt_representative_product(flags):
         "        table = giambelli_lift_general(ctx)\n"
         "        vec = table._solved((2, 0), (0, 0))\n"
         "        vec.clear()\n"
-        "        vec[deg * table._stride + table._ids[2, 0]] = 1\n"
+        "        vec[deg * table._stride + ctx.ids[2, 0]] = 1\n"
         "        try:\n"
         "            read(table)\n"
         "        except ArithmeticError as exc:\n"

@@ -603,10 +603,10 @@ def test_sweeps_do_not_validate_per_check(monkeypatch, suite, k, n):
     # items come from ctx.basis, so the checkers call the unvalidated cores;
     # validate is counted in every qkgr namespace that binds it
     if suite == "dmin":
-        # a cold dmin run's storage-layer misses (Pieri rows, orbits, both
-        # engines' interned classes: 1,002 on Gr(4,9)) exceed 1% of its
-        # 16,002 checks on any ring in reach, so the counted run is the
-        # second; its fresh direct engine still interns each of 126 classes
+        # a cold dmin run's storage-layer misses (the ring's orbits and
+        # interned classes: 251 on Gr(4,9)) exceed 1% of its 16,002 checks
+        # on any ring in reach, so the counted run is the second; its fresh
+        # direct engine reads the ids the first run interned
         run_suite(suite, k, n)
     calls = []
 
@@ -650,24 +650,10 @@ def test_sweeps_leave_one_context_per_ring():
     assert json.loads(proc.stdout) == [[[3, 6, 4]], [True]]
 
 
-def _fresh(script):
-    """Run script in a fresh interpreter and parse its output as JSON.
-
-    A child's ru_maxrss starts at the RSS its parent had when it forked, so
-    a small launcher forks the interpreter that runs the script, and a peak
-    it reads is its own, not this test process's."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    launch = "import subprocess, sys; sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)"
-    proc = subprocess.run([sys.executable, "-c", launch, script], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
-def test_positivity_sweep_keeps_no_pair_products():
+def test_positivity_sweep_keeps_no_pair_products(fresh):
     # the sweep reads each of its 31,878 pair products once; cached in
     # ctx.engine they peaked at 104 MB, read uncached the run peaks at 20 MB
-    got = _fresh(
+    got = fresh(
         "import json, resource\n"
         "from qkgr.verify import run_suite\n"
         "rep = run_suite('positivity', 5, 10)\n"
@@ -678,11 +664,11 @@ def test_positivity_sweep_keeps_no_pair_products():
     assert got["peak_mb"] < 40, got["peak_mb"]
 
 
-def test_gr3n_rule_sweep_keeps_no_pair_products():
+def test_gr3n_rule_sweep_keeps_no_pair_products(fresh):
     # 1,596 pairs; ctx.engine's pair cache keeps only the stripped pairs the
     # rule delegates to (231 here), not every pair; the representatives'
     # products stay in their solved columns, outside the pair cache
-    got = _fresh(
+    got = fresh(
         "import json\n"
         "from qkgr.partitions import context\n"
         "from qkgr.verify import run_suite\n"
