@@ -25,14 +25,11 @@ class GrContext:
 
     The context owns its ring's basis, Seidel orbit table and default
     engine, each built on first use, and ``width`` = n - k, stored once.
-    It also owns the lift tables that every ``LiftEngine`` of the ring
-    shares and fills on first use: ``ids`` (class -> integer id, the unit
-    O^(0) being id 0 from the start), ``parts`` (id -> class), ``rows``
-    (Pieri index i -> {vector key: Pieri row}) and ``steps`` (id ->
-    checked Pieri step); see ``qk_engine.LiftEngine``.  They depend only
-    on the ring, so dropping an engine frees its solved columns and the
-    rows stay here.  Contexts compare and hash by (k, n, trunc), and
-    assigning or deleting an attribute raises AttributeError.
+    It also owns the class ids, Pieri rows and Pieri steps that every
+    ``LiftEngine`` of the ring shares (``ids``, ``parts``, ``rows``,
+    ``steps``; see there): dropping an engine frees its solved columns,
+    and the rows stay here.  Contexts compare and hash by (k, n, trunc),
+    and assigning or deleting an attribute raises AttributeError.
 
     A plain class rather than a frozen dataclass: importing ``dataclasses``
     pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, about 1 MB and

@@ -482,7 +482,7 @@ def test_one_product_does_not_enumerate_the_ring():
 
 def test_cold_worst_case_gr7_14_product_peak(fresh):
     # each Pieri row is stored once, on the ring: when the quantum_terms
-    # cache held every row a second time, this product peaked at 91 MB.  The
+    # cache held every row a second time, this product peaked above 90 MB.  The
     # digest is that of the product's --json text
     digest, peak_mb = fresh(
         "import hashlib, json, resource\n"
